@@ -131,25 +131,6 @@ from repro.runtime import (
 
 __version__ = "1.1.0"
 
-
-def __getattr__(name: str):
-    # Deprecated access paths kept importable one release: the facade's
-    # repro.compare() replaced the eager compare_architectures re-export.
-    if name == "compare_architectures":
-        import warnings
-
-        warnings.warn(
-            "repro.compare_architectures is deprecated; use repro.compare() "
-            "or import it from repro.arch",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.arch import compare_architectures
-
-        return compare_architectures
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "__version__",
     # facade
@@ -226,7 +207,6 @@ __all__ = [
     "RunResult",
     "ExecutionTrace",
     "record_trace",
-    "compare_architectures",
     "estimate_run_energy",
     "get_architecture",
     "list_architectures",

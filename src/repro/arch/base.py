@@ -16,7 +16,6 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import execution_plan, resolve_backend
 from repro.errors import FaultError, RecoveryError, SimulationError
 from repro.obs.metrics import METRICS, M
 from repro.obs.span import (
@@ -172,12 +171,6 @@ class ArchitectureSimulator(abc.ABC):
         cap = max_iterations if max_iterations is not None else kernel.max_iterations
         cache = StructuralProfileCache()
         telemetry = EngineTelemetry()
-        # Resolve the execution backend once per run and build (or fetch)
-        # its compile-once plan; an unavailable/unsupported backend has
-        # already degraded to the numpy oracle by the time we get a plan.
-        backend, plan = execution_plan(
-            resolve_backend(self.config.backend), kernel, prepared
-        )
         self._on_run_start(ctx, state)
 
         run_cm = (
@@ -189,10 +182,6 @@ class ArchitectureSimulator(abc.ABC):
                 graph=graph_name,
                 parts=num_parts,
                 mode="run",
-                backend=backend.name,
-                backend_fused=plan.fused,
-                backend_compile_seconds=plan.compile_seconds,
-                backend_plan_cached=plan.cached,
             )
             if traced
             else nullcontext()
@@ -215,7 +204,6 @@ class ArchitectureSimulator(abc.ABC):
                             memory_budget_bytes=self.config.memory_budget_bytes,
                             telemetry=telemetry,
                             tracer=tracer,
-                            backend=backend,
                         )
                         stats = self._account_iteration(profile, ctx)
                         self._annotate_iteration_span(it_span, stats)
@@ -228,7 +216,6 @@ class ArchitectureSimulator(abc.ABC):
                         cache=cache,
                         memory_budget_bytes=self.config.memory_budget_bytes,
                         telemetry=telemetry,
-                        backend=backend,
                     )
                     stats = self._account_iteration(profile, ctx)
                 result.iterations.append(stats)

@@ -176,7 +176,6 @@ def compare_architectures(
             graph_name=graph_name,
             seed=seed,
             memory_budget_bytes=cfg.memory_budget_bytes,
-            backend=cfg.backend,
         )
         runs = [
             sim.replay(trace, faults=faults, checkpoint=checkpoint)

@@ -31,7 +31,6 @@ from repro.arch.engine import (
     execute_iteration,
     prepare_graph,
 )
-from repro.backend import execution_plan, resolve_backend
 from repro.errors import SimulationError
 from repro.graph.csr import CSRGraph
 from repro.obs.span import (
@@ -101,7 +100,6 @@ def record_trace(
     with_mirrors: bool = True,
     cache: Optional[StructuralProfileCache] = None,
     memory_budget_bytes: Optional[int] = None,
-    backend: str = "auto",
 ) -> ExecutionTrace:
     """Execute ``kernel`` on ``graph`` once and record every iteration.
 
@@ -114,9 +112,6 @@ def record_trace(
     ``memory_budget_bytes`` caps the engine's per-iteration edge
     transients; over budget, edges stream in blocks with bit-identical
     profiles and numerics (telemetry lands on the returned trace).
-    ``backend`` names the execution backend for the hot loops (results are
-    bit-identical across backends; the recorded trace carries no mark of
-    which one ran).
     """
     if not kernel.supports_engine:
         raise SimulationError(
@@ -150,9 +145,6 @@ def record_trace(
 
     cache = cache if cache is not None else StructuralProfileCache()
     telemetry = EngineTelemetry()
-    exec_backend, plan = execution_plan(
-        resolve_backend(backend), kernel, prepared
-    )
     state = kernel.initial_state(prepared, source=source)
     cap = max_iterations if max_iterations is not None else kernel.max_iterations
 
@@ -175,10 +167,6 @@ def record_trace(
             graph=graph_name,
             parts=assignment.num_parts,
             mode="record",
-            backend=exec_backend.name,
-            backend_fused=plan.fused,
-            backend_compile_seconds=plan.compile_seconds,
-            backend_plan_cached=plan.cached,
         ) as run_span:
             for _ in range(cap):
                 if state.frontier.size == 0:
@@ -196,7 +184,6 @@ def record_trace(
                         memory_budget_bytes=memory_budget_bytes,
                         telemetry=telemetry,
                         tracer=tracer,
-                        backend=exec_backend,
                     )
                     it_span.set_attrs(
                         iteration=profile.iteration,
@@ -223,7 +210,6 @@ def record_trace(
                 cache=cache,
                 memory_budget_bytes=memory_budget_bytes,
                 telemetry=telemetry,
-                backend=exec_backend,
             )
             trace.profiles.append(profile)
             if kernel.has_converged(state):

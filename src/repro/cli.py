@@ -23,11 +23,8 @@ from typing import Optional, Sequence
 from repro import cache as repro_cache
 from repro.arch.energy import estimate_run_energy
 from repro.cli_common import (
-    add_backend_arg,
-    add_cache_dir_alias,
     add_fault_seed_arg,
     add_jobs_arg,
-    add_memory_budget_alias,
     add_observability_args,
     add_policy_arg,
 )
@@ -160,9 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="regenerate everything, ignoring $REPRO_CACHE_DIR",
     )
-    add_cache_dir_alias(cache_mode)
-    add_backend_arg(parser)
-    add_memory_budget_alias(parser)
     add_jobs_arg(parser)
     add_observability_args(parser)
     parser.add_argument("--trace-csv", default=None, help="write per-iteration trace CSV")
@@ -291,7 +285,6 @@ def _run(args: argparse.Namespace) -> int:
         num_memory_nodes=args.parts,
         enable_inc=args.inc,
         memory_budget_bytes=memory_budget,
-        backend=args.backend,
     )
     faults = _build_faults(args)
     checkpoint = _build_checkpoint(args)

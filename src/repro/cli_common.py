@@ -2,32 +2,12 @@
 
 The two CLIs grew separately and their spellings drifted; this module is
 the single place each shared flag is declared, so they cannot drift
-again.  Old spellings stay accepted as hidden aliases that print a
-deprecation note to stderr and set the same destination.
+again.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
-
-
-def deprecated_alias(new_flag: str) -> type:
-    """An argparse action for a hidden alias of ``new_flag``.
-
-    Using the alias still works but prints a one-line deprecation note;
-    the value lands on the same ``dest`` as the canonical flag.
-    """
-
-    class _Alias(argparse.Action):
-        def __call__(self, parser, namespace, values, option_string=None):
-            print(
-                f"warning: {option_string} is deprecated; use {new_flag}",
-                file=sys.stderr,
-            )
-            setattr(namespace, self.dest, values)
-
-    return _Alias
 
 
 def add_observability_args(parser: argparse.ArgumentParser) -> None:
@@ -90,7 +70,7 @@ def add_policy_arg(parser: argparse.ArgumentParser, *, default=None) -> None:
 
 
 def add_jobs_arg(parser: argparse.ArgumentParser, *, default: int = 1) -> None:
-    """``--jobs`` with the hidden ``--workers`` alias."""
+    """``--jobs``: worker processes for multi-workload execution."""
     parser.add_argument(
         "--jobs",
         type=int,
@@ -99,17 +79,10 @@ def add_jobs_arg(parser: argparse.ArgumentParser, *, default: int = 1) -> None:
         help="worker processes for multi-workload execution "
         "(single-workload runs are serial regardless)",
     )
-    parser.add_argument(
-        "--workers",
-        dest="jobs",
-        type=int,
-        action=deprecated_alias("--jobs"),
-        help=argparse.SUPPRESS,
-    )
 
 
 def add_fault_seed_arg(parser: argparse.ArgumentParser) -> None:
-    """``--fault-seed`` with the hidden ``--faults-seed`` alias."""
+    """``--fault-seed``: the standard probabilistic fault schedule's seed."""
     parser.add_argument(
         "--fault-seed",
         type=int,
@@ -118,45 +91,4 @@ def add_fault_seed_arg(parser: argparse.ArgumentParser) -> None:
         help="expand the standard probabilistic fault schedule (crashes, "
         "NDP failures, link degradation, message drops) from this seed",
     )
-    parser.add_argument(
-        "--faults-seed",
-        dest="fault_seed",
-        type=int,
-        action=deprecated_alias("--fault-seed"),
-        help=argparse.SUPPRESS,
-    )
 
-
-def add_backend_arg(parser: argparse.ArgumentParser) -> None:
-    """``--backend {auto,numpy,numba}`` for both CLIs."""
-    from repro.backend import BACKEND_CHOICES
-
-    parser.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
-        default="auto",
-        help="execution backend for the engine hot loops: 'auto' uses "
-        "numba when installed (falling back to numpy silently), 'numpy' "
-        "forces the oracle, 'numba' warns once and falls back if numba "
-        "is missing; results are bit-identical across backends",
-    )
-
-
-def add_memory_budget_alias(parser: argparse.ArgumentParser) -> None:
-    """Hidden ``--budget`` alias for ``--memory-budget``."""
-    parser.add_argument(
-        "--budget",
-        dest="memory_budget",
-        action=deprecated_alias("--memory-budget"),
-        help=argparse.SUPPRESS,
-    )
-
-
-def add_cache_dir_alias(group) -> None:
-    """Hidden ``--cache`` alias for ``--cache-dir`` (same exclusive group)."""
-    group.add_argument(
-        "--cache",
-        dest="cache_dir",
-        action=deprecated_alias("--cache-dir"),
-        help=argparse.SUPPRESS,
-    )

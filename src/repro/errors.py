@@ -69,16 +69,6 @@ class SimulationError(ReproError):
         return f"{base} [{detail}]"
 
 
-class BackendUnsupported(ReproError):
-    """A compiled execution backend cannot run a kernel/dtype combination.
-
-    Raised by :meth:`repro.backend.base.ExecutionBackend.plan` when the
-    backend fails to specialize its primitives for the requested kernel,
-    index dtype, or weight layout.  Callers treat it as a fallback signal
-    (drop to the ``numpy`` oracle with a single warning), never as fatal.
-    """
-
-
 class CacheError(ReproError):
     """Invalid artifact-cache request (bad key, kind, or configuration).
 

@@ -142,9 +142,10 @@ class RemoteScheduler(SweepScheduler):
     """Execute a sweep on ``repro-worker`` processes over TCP.
 
     The coordinator binds ``host:port`` (port 0 = OS-assigned), publishes
-    the endpoint via ``ready_file``/``on_ready``, waits for at least
-    ``min_workers`` authenticated workers (up to ``worker_wait_s``
-    seconds), and then serves the task queue until every task resolves.
+    the endpoint via ``ready_file``/``on_ready``, serves the task queue
+    until every task resolves, and keeps listening until at least
+    ``min_workers`` workers have authenticated (up to ``worker_wait_s``
+    seconds; short of that is an error only while tasks remain).
     ``token`` is the shared secret workers must present; ``cache`` is the
     coordinator-side artifact cache backing by-digest fetches (defaults
     to the process-global cache; with none, workers regenerate datasets
@@ -338,12 +339,11 @@ class _Coordinator:
             return
         deadline = time.time() + self.sched.worker_wait_s
         while time.time() < deadline:
-            if self.handshakes >= self.sched.min_workers:
-                return
-            # A fast sweep can connect, drain, and disconnect its workers
-            # between two polls — an empty queue means the gate is moot.
+            # The gate holds the listener open even after the queue has
+            # drained: a worker that starts late then gets the normal
+            # shutdown (exit 0), not a refused connection (exit 2).
             if (
-                not self.remaining
+                self.handshakes >= self.sched.min_workers
                 or self.fatal is not None
                 or self.interrupted is not None
             ):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -37,47 +37,6 @@ from repro.graph.csr import CSRGraph
 VERTEX_ID_BYTES = 8
 
 _REDUCE_OPS = ("sum", "min", "max")
-
-#: Closed vocabulary of declarative per-edge message forms a compiled
-#: backend can fuse with the reduction (see :class:`EdgeOp`).
-EDGE_OP_KINDS = (
-    "src_prop",  # prop_a[src]
-    "src_prop_product",  # prop_a[src] * prop_b[src]
-    "src_prop_plus_weight",  # prop_a[src] + w
-    "src_prop_min_weight",  # min(prop_a[src], w)
-    "src_id",  # float(src)
-    "ones",  # 1.0
-)
-
-
-@dataclass(frozen=True)
-class EdgeOp:
-    """Declarative form of :meth:`VertexProgram.edge_messages`.
-
-    A kernel that can express its traversal message as one of the
-    :data:`EDGE_OP_KINDS` declares it here; an execution backend may then
-    fuse message generation with the scatter-reduce into one compiled pass
-    that never materializes the |E|-sized value array.  The declaration is
-    *advisory*: ``edge_messages`` remains the semantic definition (and the
-    oracle), and backends that cannot fuse the declared form fall back to
-    calling it.  ``props`` names the :class:`KernelState` property arrays
-    the op reads, in positional order.
-    """
-
-    kind: str
-    props: Tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind not in EDGE_OP_KINDS:
-            raise KernelError(
-                f"edge op kind must be one of {EDGE_OP_KINDS}, got "
-                f"{self.kind!r}"
-            )
-
-    @property
-    def uses_weights(self) -> bool:
-        """Whether the fused loop reads the per-edge weight array."""
-        return self.kind in ("src_prop_plus_weight", "src_prop_min_weight")
 
 
 @dataclass(frozen=True)
@@ -209,12 +168,6 @@ class VertexProgram(abc.ABC):
     max_iterations: int = 1000
     #: can run through the scatter/gather engine (False = host-only kernel)
     supports_engine: bool = True
-    #: engine primitives this kernel exercises; a backend must support all
-    #: of them (host-only kernels declare none and never hit the backend)
-    backend_primitives: Tuple[str, ...] = ()
-    #: declarative edge-message form for fused compiled traversal, or None
-    #: when the message is only expressible through :meth:`edge_messages`
-    edge_op: Optional[EdgeOp] = None
 
     # ------------------------------------------------------------------ #
     # Numeric hooks

@@ -16,7 +16,6 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.kernels.base import (
     ComputeProfile,
-    EdgeOp,
     KernelState,
     MessageSpec,
     VertexProgram,
@@ -41,8 +40,6 @@ class BFS(VertexProgram):
     # The traversal emits the source id, which each memory node knows
     # locally: only frontier *membership* needs to cross the network.
     pushes_values = False
-    backend_primitives = ("gather_frontier_edges", "segment_reduce", "apply_numeric")
-    edge_op = EdgeOp("src_id")
 
     def initial_state(
         self, graph: CSRGraph, *, source: Optional[int] = None

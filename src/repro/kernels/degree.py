@@ -15,7 +15,6 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.kernels.base import (
     ComputeProfile,
-    EdgeOp,
     KernelState,
     MessageSpec,
     VertexProgram,
@@ -38,8 +37,6 @@ class DegreeCentrality(VertexProgram):
         needs_int_muldiv=False,
     )
     max_iterations = 1
-    backend_primitives = ("gather_frontier_edges", "segment_reduce", "apply_numeric")
-    edge_op = EdgeOp("ones")
 
     def initial_state(
         self, graph: CSRGraph, *, source: Optional[int] = None

@@ -16,7 +16,6 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.kernels.base import (
     ComputeProfile,
-    EdgeOp,
     KernelState,
     MessageSpec,
     VertexProgram,
@@ -52,8 +51,6 @@ class PageRank(VertexProgram):
         needs_fp=True,
         needs_int_muldiv=False,
     )
-    backend_primitives = ("gather_frontier_edges", "segment_reduce", "apply_numeric")
-    edge_op = EdgeOp("src_prop_product", ("rank", "inv_out_degree"))
 
     def __init__(
         self,

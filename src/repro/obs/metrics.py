@@ -10,9 +10,6 @@ series that no report ever reads.
 The registry also hands out process-wide typed instruments —
 :class:`Counter`, :class:`Gauge`, :class:`Histogram` — keyed by declared
 name, for code that wants a handle instead of a string.
-
-:class:`CounterSet` used to live at ``repro.telemetry.counters``; that
-module is now a deprecation shim re-exporting this one.
 """
 
 from __future__ import annotations

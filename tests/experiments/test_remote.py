@@ -15,6 +15,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -23,6 +24,7 @@ import pytest
 from repro.cache import ArtifactCache
 from repro.chaos import ChaosPlan
 from repro.errors import SchedulerError
+from repro.experiments.journal import decode_record
 from repro.experiments.remote import RemoteScheduler, write_ready_file
 from repro.experiments.sweep import SweepTask, run_sweep
 
@@ -127,6 +129,45 @@ class TestRemoteParity:
         # from the coordinator cache and installed it locally.
         assert ArtifactCache(fleet.cache_dir).stats()["entries"] >= 1
         # Workers exit 0 on coordinator-initiated shutdown.
+        assert [p.wait(timeout=20) for p in fleet.procs] == [0, 0]
+
+    def test_worker_connecting_after_the_queue_drained_exits_0(
+        self, fleet, tmp_path
+    ):
+        # The first worker drains the whole queue before the second one
+        # even starts: the coordinator must keep its listener until
+        # min_workers handshakes and send the late worker the normal
+        # shutdown, not leave it to a refused connection (exit 2).
+        journal = tmp_path / "sweep.journal"
+        late: list = []
+
+        def outcomes_journaled() -> int:
+            if not journal.exists():
+                return 0
+            return sum(
+                1
+                for line in journal.read_bytes().splitlines()
+                if (decode_record(line) or {}).get("type") == "outcome"
+            )
+
+        def spawn_late(host, port):
+            deadline = time.time() + 60
+            while outcomes_journaled() < len(TASKS) and time.time() < deadline:
+                time.sleep(0.01)
+            fleet.spawn(host, port)
+
+        def on_ready(host, port):
+            fleet.spawn(host, port)
+            thread = threading.Thread(target=spawn_late, args=(host, port))
+            thread.start()
+            late.append(thread)
+
+        sched = RemoteScheduler(
+            token=TOKEN, min_workers=2, worker_wait_s=60.0, on_ready=on_ready
+        )
+        outcomes = run_sweep(TASKS, scheduler=sched, journal_path=str(journal))
+        late[0].join(timeout=60)
+        assert all(o.ok for o in outcomes)
         assert [p.wait(timeout=20) for p in fleet.procs] == [0, 0]
 
 

@@ -1,8 +1,10 @@
-"""CLI observability flags and deprecated-alias behavior on both CLIs."""
+"""CLI observability flags and the unified flag spellings on both CLIs."""
 
 from __future__ import annotations
 
 import json
+
+import pytest
 
 from repro.cli import build_parser as run_parser
 from repro.cli import main as run_main
@@ -88,46 +90,16 @@ class TestRunTracing:
 
 
 class TestDeprecatedAliases:
-    def test_run_cli_aliases_map_and_warn(self, tmp_path, capsys):
-        args = run_parser().parse_args(
-            [
-                "--dataset", "wikitalk-sim",
-                "--kernel", "pagerank",
-                "--workers", "2",
-                "--faults-seed", "5",
-                "--budget", "1G",
-                "--cache", str(tmp_path / "cache"),
-            ]
-        )
-        assert args.jobs == 2
-        assert args.fault_seed == 5
-        assert args.memory_budget == "1G"
-        assert args.cache_dir == str(tmp_path / "cache")
-        err = capsys.readouterr().err
-        assert "warning: --workers is deprecated; use --jobs" in err
-        assert "warning: --faults-seed is deprecated; use --fault-seed" in err
-        assert "warning: --budget is deprecated; use --memory-budget" in err
-        assert "warning: --cache is deprecated; use --cache-dir" in err
+    """The old spellings (--workers, --faults-seed, --budget) are gone."""
 
-    def test_experiments_cli_aliases_map_and_warn(self, tmp_path, capsys):
-        args = exp_parser().parse_args(
-            [
-                "run", "sweep",
-                "--workers", "3",
-                "--faults-seed", "9",
-                "--budget", "2G",
-                "--cache", str(tmp_path / "cache"),
-            ]
-        )
-        assert args.jobs == 3
-        assert args.fault_seed == 9
-        assert args.memory_budget == "2G"
-        assert args.cache_dir == str(tmp_path / "cache")
-        err = capsys.readouterr().err
-        assert "warning: --workers is deprecated; use --jobs" in err
-        assert "warning: --faults-seed is deprecated; use --fault-seed" in err
-        assert "warning: --budget is deprecated; use --memory-budget" in err
-        assert "warning: --cache is deprecated; use --cache-dir" in err
+    @pytest.mark.parametrize("flag", ["--workers", "--faults-seed", "--budget"])
+    def test_removed_aliases_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_parser().parse_args(
+                ["--dataset", "wikitalk-sim", "--kernel", "pagerank", flag, "2"]
+            )
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_canonical_flags_stay_silent(self, capsys):
         args = run_parser().parse_args(
@@ -140,12 +112,6 @@ class TestDeprecatedAliases:
         )
         assert args.jobs == 2 and args.fault_seed == 5
         assert "deprecated" not in capsys.readouterr().err
-
-    def test_alias_end_to_end_still_runs(self, capsys):
-        rc = run_main(RUN_ARGS + ["--workers", "1"])
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert "warning: --workers is deprecated" in captured.err
 
 
 class TestUnifiedFlags:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 
 import pytest
 
@@ -169,23 +168,3 @@ class TestCounterSet:
         assert a.as_dict() == {"x": 3.0, "y": 3.0}
         assert set(a) == {"x", "y"}
         assert len(a) == 2
-
-
-class TestTelemetryShim:
-    def test_old_import_path_warns_and_returns_same_class(self):
-        import repro.telemetry.counters as shim
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cls = shim.CounterSet
-        assert cls is CounterSet
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert "CounterSet" in dir(shim)
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.telemetry.counters as shim
-
-        with pytest.raises(AttributeError):
-            shim.NotAThing

@@ -19,10 +19,10 @@ from repro.serve.protocol import parse_request
 #: persisted result cache goes cold: bump repro.cache.keys.SCHEMA_VERSION
 #: deliberately instead of letting it drift.
 PINNED_SPEC_DIGEST = (
-    "076790ebe6a8179f34c086dbbda7f3e9ac1fbc23717ac363b50d248ec178faa3"
+    "0a2381564cdb9cf81e1d8a51a36a289e5ab57cbc560cd5637bb041907e0b43e3"
 )
 PINNED_RUN_REQUEST_DIGEST = (
-    "fe9241241db9691fe3cc5a47d36ea2ccbf5cc5ba65168f169dd403f44a223fe7"
+    "abe0c6589f0c2ce30d6be38092831ab0e779667230ea13871edea15bb8d178ee"
 )
 
 
@@ -71,7 +71,7 @@ def test_digest_default_vs_explicit_identical():
         {"partitioner": "edge-balanced"},
         {"architecture": "host-dram"},
         {"max_iterations": 3},
-        {"backend": "numpy"},
+        {"source": 3},
         {"policy": PolicySpec("adaptive")},
     ],
 )

@@ -6,7 +6,6 @@ actually honouring ``spec.policy`` (it used to be silently ignored by
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -168,37 +167,14 @@ class TestDigestParticipation:
         assert a.digest() == b.digest()
 
 
-class TestStringPolicyShim:
-    def test_string_policy_warns_once_and_converts(self):
-        repro.api._warned_string_policy = False
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            spec = RunSpec(
-                dataset="wikitalk-sim", policy="threshold:min_avg_degree=2"
-            )
-        assert spec.policy == PolicySpec(
-            "threshold", {"min_avg_degree": 2}
-        )
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "PolicySpec" in str(deprecations[0].message)
-        # One-shot: a second string construction stays silent.
-        with warnings.catch_warnings(record=True) as again:
-            warnings.simplefilter("always")
-            RunSpec(dataset="wikitalk-sim", policy="never")
-        assert not [
-            w for w in again if issubclass(w.category, DeprecationWarning)
-        ]
+class TestStringPolicyRejected:
+    def test_string_policy_raises_config_error(self):
+        with pytest.raises(ConfigError, match="PolicySpec.parse"):
+            RunSpec(dataset="wikitalk-sim", policy="adaptive")
 
-    def test_string_and_spec_digest_identically(self):
-        repro.api._warned_string_policy = True  # silence the shim
-        as_string = RunSpec(dataset="wikitalk-sim", policy="adaptive")
-        as_spec = RunSpec(
-            dataset="wikitalk-sim", policy=PolicySpec("adaptive")
-        )
-        assert as_string.digest() == as_spec.digest()
+    def test_mapping_policy_converts(self):
+        spec = RunSpec(dataset="wikitalk-sim", policy={"name": "adaptive"})
+        assert spec.policy == PolicySpec("adaptive")
 
 
 class TestFacadeHonoursPolicy:

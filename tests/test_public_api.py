@@ -3,7 +3,6 @@ the quickstart path working end to end."""
 
 import dataclasses
 import inspect
-import warnings
 
 import numpy as np
 import pytest
@@ -175,14 +174,3 @@ class TestFacadeSurface:
         assert spec.name.startswith("wikitalk")
         assignment = repro.partition(graph, num_parts=4, partitioner="hash")
         assert assignment.num_parts == 4
-
-    def test_compare_architectures_shim_warns(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fn = repro.compare_architectures
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        from repro.arch import compare_architectures
-
-        assert fn is compare_architectures
