@@ -1,14 +1,11 @@
-"""Offline analyses built on runs and traces, plus executable variants."""
+"""Offline analyses built on finished runs and traces."""
 
 from repro.analysis.direction import (
     DirectionProfile,
+    OffloadDirections,
     direction_profile,
+    offload_directions,
     pull_iteration_bytes,
-)
-from repro.analysis.dobfs import (
-    DOBFSIteration,
-    DOBFSResult,
-    run_direction_optimized_bfs,
 )
 from repro.analysis.projection import (
     ProjectedMovement,
@@ -25,9 +22,8 @@ __all__ = [
     "project_run",
     "project_trace",
     "DirectionProfile",
+    "OffloadDirections",
     "direction_profile",
+    "offload_directions",
     "pull_iteration_bytes",
-    "DOBFSIteration",
-    "DOBFSResult",
-    "run_direction_optimized_bfs",
 ]

@@ -12,9 +12,9 @@ switch changes what crosses the network:
   vertex: the dense-frontier iterations that flood push with partial
   updates produce almost nothing under pull.
 
-The profile is computed analytically from a completed BFS's levels array —
-the per-iteration candidate and discovery sets are fully determined by the
-levels — so it composes with any simulator run without engine changes.
+The direction never changes which vertices an iteration discovers, so one
+measured BFS run prices both: push costs come from the simulator's ledger
+and pull costs from :func:`pull_iteration_bytes` over the run's levels.
 It quantifies a further dynamic decision the paper's runtime would own:
 not just *whether* and *where* to offload, but *in which direction*.
 """
@@ -22,7 +22,7 @@ not just *whether* and *where* to offload, but *in which direction*.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, Dict, List, Union
 
 import numpy as np
 
@@ -30,17 +30,21 @@ from repro.errors import ReproError
 from repro.graph.csr import CSRGraph
 from repro.kernels.base import VERTEX_ID_BYTES, VertexProgram
 
+if TYPE_CHECKING:
+    from repro.arch.results import RunResult
+
 
 def pull_iteration_bytes(
     *,
     num_vertices: int,
     num_parts: int,
-    discovered_next: int,
+    discovered_next: Union[int, np.ndarray],
     wire_bytes: int,
-) -> int:
+) -> Union[int, np.ndarray]:
     """Host-link bytes of one pull-offload iteration.
 
-    Bitmap broadcast to each memory node + one update per discovery.
+    Bitmap broadcast to each memory node + one update per discovery; an
+    ``int64`` array of discovery counts prices one iteration per entry.
     """
     bitmap = int(np.ceil(num_vertices / 8))
     return bitmap * num_parts + wire_bytes * discovered_next
@@ -58,36 +62,28 @@ class DirectionProfile:
     frontier: np.ndarray
     discovered: np.ndarray
 
-    def best_mode_per_iteration(self) -> List[str]:
-        """Cheapest of the four modes per iteration."""
-        stack = {
+    def _modes(self) -> Dict[str, np.ndarray]:
+        return {
             "push-offload": self.push_offload,
             "pull-offload": self.pull_offload,
             "push-fetch": self.push_fetch,
             "pull-fetch": self.pull_fetch,
         }
-        out = []
-        for i in range(self.iterations):
-            out.append(min(stack, key=lambda k: stack[k][i]))
-        return out
 
-    def adaptive_total(self) -> int:
-        """Total bytes picking the best mode each iteration."""
-        return int(
-            np.minimum.reduce(
-                [self.push_offload, self.pull_offload, self.push_fetch, self.pull_fetch]
-            ).sum()
-        )
+    def best_mode_per_iteration(self) -> List[str]:
+        """Cheapest of the four modes per iteration."""
+        modes = self._modes()
+        return [
+            min(modes, key=lambda k: modes[k][i]) for i in range(self.iterations)
+        ]
 
-    def totals(self) -> dict:
-        """Whole-run totals per fixed mode plus the adaptive envelope."""
-        return {
-            "push-offload": int(self.push_offload.sum()),
-            "pull-offload": int(self.pull_offload.sum()),
-            "push-fetch": int(self.push_fetch.sum()),
-            "pull-fetch": int(self.pull_fetch.sum()),
-            "adaptive": self.adaptive_total(),
-        }
+    def totals(self) -> Dict[str, int]:
+        """Whole-run totals per fixed mode plus the adaptive envelope (the
+        cheapest mode picked each iteration)."""
+        modes = self._modes()
+        totals = {name: int(cost.sum()) for name, cost in modes.items()}
+        totals["adaptive"] = int(np.minimum.reduce(list(modes.values())).sum())
+        return totals
 
 
 def direction_profile(
@@ -96,8 +92,8 @@ def direction_profile(
     kernel: VertexProgram,
     *,
     num_parts: int,
-    push_offload_bytes: Optional[np.ndarray] = None,
-    push_fetch_bytes: Optional[np.ndarray] = None,
+    push_offload_bytes: np.ndarray,
+    push_fetch_bytes: np.ndarray,
 ) -> DirectionProfile:
     """Build the direction profile for a finished BFS-style run.
 
@@ -106,10 +102,8 @@ def direction_profile(
     levels:
         per-vertex discovery level (-1 = unreached) from the run.
     push_offload_bytes / push_fetch_bytes:
-        measured per-iteration bytes from simulator runs; when omitted they
-        are recomputed analytically (exact for the request+payload and
-        push-pair formulas on a 1-D partition by hash of vertex id — pass
-        the measured arrays for other partitionings).
+        measured per-iteration bytes of the disaggregated-NDP and
+        disaggregated (fetch) simulator runs.
     """
     levels = np.asarray(levels)
     if levels.shape != (graph.num_vertices,):
@@ -121,62 +115,72 @@ def direction_profile(
     if iterations < 1:
         raise ReproError("run discovered nothing; no iterations to profile")
 
-    n = graph.num_vertices
-    wire = kernel.message.wire_bytes
     in_deg = graph.in_degrees
-    out_deg = graph.out_degrees
-
     frontier_sizes = np.zeros(iterations, dtype=np.int64)
     discovered = np.zeros(iterations, dtype=np.int64)
     pull_fetch = np.zeros(iterations, dtype=np.int64)
-    pull_off = np.zeros(iterations, dtype=np.int64)
-    push_fetch = np.zeros(iterations, dtype=np.int64)
 
     for t in range(iterations):
-        frontier_mask = levels == t
         candidates_mask = (levels > t) | (levels < 0)  # undiscovered at t
-        frontier_sizes[t] = int(frontier_mask.sum())
+        frontier_sizes[t] = int((levels == t).sum())
         discovered[t] = int((levels == t + 1).sum())
         # pull-fetch: hosts request + fetch the candidates' in-edge lists.
         cand_in_edges = int(in_deg[candidates_mask].sum())
         pull_fetch[t] = VERTEX_ID_BYTES * int(candidates_mask.sum()) + 8 * cand_in_edges
-        pull_off[t] = pull_iteration_bytes(
-            num_vertices=n,
-            num_parts=num_parts,
-            discovered_next=int(discovered[t]),
-            wire_bytes=wire,
-        )
-        # push-fetch (analytic fallback): request + frontier out-edges.
-        push_fetch[t] = (
-            VERTEX_ID_BYTES * frontier_sizes[t]
-            + 8 * int(out_deg[frontier_mask].sum())
-        )
-
-    if push_fetch_bytes is not None:
-        push_fetch = np.asarray(push_fetch_bytes[:iterations], dtype=np.int64)
-    if push_offload_bytes is not None:
-        push_off = np.asarray(push_offload_bytes[:iterations], dtype=np.int64)
-    else:
-        # Upper bound: every frontier out-edge yields a partial update pair.
-        from repro.runtime.cost_model import frontier_push_bytes
-
-        push_off = np.zeros(iterations, dtype=np.int64)
-        for t in range(iterations):
-            frontier_mask = levels == t
-            edges = int(out_deg[frontier_mask].sum())
-            push_off[t] = frontier_push_bytes(
-                kernel,
-                int(frontier_sizes[t]),
-                num_vertices=n,
-                num_parts=num_parts,
-            ) + wire * min(edges, n * num_parts)
 
     return DirectionProfile(
         iterations=iterations,
-        push_offload=push_off,
-        pull_offload=pull_off,
-        push_fetch=push_fetch,
+        push_offload=np.asarray(push_offload_bytes[:iterations], dtype=np.int64),
+        pull_offload=pull_iteration_bytes(
+            num_vertices=graph.num_vertices,
+            num_parts=num_parts,
+            discovered_next=discovered,
+            wire_bytes=kernel.message.wire_bytes,
+        ),
+        push_fetch=np.asarray(push_fetch_bytes[:iterations], dtype=np.int64),
         pull_fetch=pull_fetch,
         frontier=frontier_sizes,
         discovered=discovered,
     )
+
+
+@dataclass(frozen=True)
+class OffloadDirections:
+    """Push vs pull offload bytes of every iteration of one BFS run,
+    including the final one that discovers nothing."""
+
+    frontier: np.ndarray
+    discovered: np.ndarray
+    push: np.ndarray  # the simulator's ledger
+    pull: np.ndarray  # pull_iteration_bytes
+
+    def directions(self) -> List[str]:
+        """The auto choice per iteration: push unless pull is cheaper."""
+        return ["push" if p <= q else "pull" for p, q in zip(self.push, self.pull)]
+
+    def auto(self) -> np.ndarray:
+        """Per-iteration bytes of the auto choice."""
+        return np.minimum(self.push, self.pull)
+
+    def totals(self) -> Dict[str, int]:
+        """Whole-run bytes of forced push, forced pull and auto."""
+        return {
+            "push": int(self.push.sum()),
+            "pull": int(self.pull.sum()),
+            "auto": int(self.auto().sum()),
+        }
+
+
+def offload_directions(run: "RunResult") -> OffloadDirections:
+    """Price push and pull for each iteration of a disaggregated-NDP BFS run."""
+    levels = run.result_property()
+    push = run.per_iteration_bytes()
+    # Iteration t discovers level t+1; the source (level 0) is no discovery.
+    discovered = np.bincount(levels[levels > 0] - 1, minlength=push.size)
+    pull = pull_iteration_bytes(
+        num_vertices=levels.size,
+        num_parts=run.num_parts,
+        discovered_next=discovered,
+        wire_bytes=run.kernel_program.message.wire_bytes,
+    )
+    return OffloadDirections(run.per_iteration_frontier(), discovered, push, pull)

@@ -9,9 +9,10 @@ resource utilization from the provisioning model.
 The kernel numerics execute exactly once: the workload is recorded into an
 :class:`~repro.arch.trace.ExecutionTrace` and each simulator *replays* the
 shared trace through its accounting hook (the paper's "run the computation
-once, separately account what each deployment would have moved").  Pass
-``shared_trace=False`` to fall back to four independent executions — the
-results are bit-identical either way.
+once, separately account what each deployment would have moved").
+``shared_trace=False`` runs four independent executions instead; it exists
+only as the oracle the trace-replay tests compare the shared path against
+(the rows are bit-identical, about 4x slower).
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def compare_architectures(
     coupled server cannot match (Fig. 4's spread).
     ``shared_trace`` executes the kernel once and replays the recorded
     trace through every simulator (default); disabling it re-executes the
-    numerics per architecture, producing bit-identical rows ~4× slower.
+    numerics per architecture, the test oracle for the replay path.
     ``faults`` injects the same seed-driven fault schedule into every
     architecture's accounting pass (numerics are unaffected), so the rows
     additionally carry each deployment's recovery bill; ``checkpoint``

@@ -107,12 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         "comparison (the kernel executes once; each architecture replays "
         "the shared trace)",
     )
-    parser.add_argument(
-        "--independent-compare",
-        action="store_true",
-        help="with --compare: re-execute the kernel per architecture "
-        "instead of replaying one shared trace (bit-identical, ~4x slower)",
-    )
     parser.add_argument("--max-iterations", type=int, default=None)
     parser.add_argument(
         "--crash-at",
@@ -302,7 +296,6 @@ def _run(args: argparse.Namespace) -> int:
             max_iterations=args.max_iterations,
             graph_name=graph_name,
             seed=args.seed,
-            shared_trace=not args.independent_compare,
             faults=faults,
             checkpoint=checkpoint,
             policy=(

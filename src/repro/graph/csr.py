@@ -101,6 +101,11 @@ class CSRGraph:
         self.weights = (
             None if weights is None else np.ascontiguousarray(weights, dtype=np.float64)
         )
+        # Graphs are shared by reference (serve pool, caches, dataset memo):
+        # freeze the arrays so no holder can mutate another's graph.
+        for array in (self.indptr, self.indices, self.weights):
+            if array is not None:
+                array.setflags(write=False)
         #: Monotonically issued token; unlike ``id()`` it is never reused
         #: after garbage collection, so caches may key on it safely.
         self.uid = next(_uid_counter)

@@ -1,142 +1,107 @@
-"""Tests for the executable direction-optimized BFS."""
+"""Tests for the direction-optimized BFS model behind `ablation-dobfs`:
+push bytes from the NDP simulator's ledger, pull bytes from
+`pull_iteration_bytes`, auto the cheaper of the two per iteration."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.dobfs import run_direction_optimized_bfs
+from repro.analysis import (
+    OffloadDirections,
+    offload_directions,
+    pull_iteration_bytes,
+)
 from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
-from repro.errors import ConfigError, SimulationError
 from repro.graph.generators import path_graph
-from repro.kernels import reference
 from repro.kernels.bfs import BFS
-from repro.partition.random_hash import HashPartitioner
 from repro.runtime.config import SystemConfig
 
 
+def run_ndp_bfs(graph, source, num_parts):
+    sim = DisaggregatedNDPSimulator(SystemConfig(num_memory_nodes=num_parts))
+    return sim.run(graph, BFS(), source=source)
+
+
 @pytest.fixture(scope="module")
-def hub_source(twitter_tiny):
-    return int(twitter_tiny.out_degrees.argmax())
+def run(twitter_tiny):
+    return run_ndp_bfs(twitter_tiny, int(twitter_tiny.out_degrees.argmax()), 8)
+
+
+@pytest.fixture(scope="module")
+def modes(run):
+    return offload_directions(run)
 
 
 class TestCorrectness:
-    @pytest.mark.parametrize("direction", ["auto", "push", "pull"])
-    def test_levels_match_reference(self, twitter_tiny, hub_source, direction):
-        result = run_direction_optimized_bfs(
-            twitter_tiny, hub_source, num_parts=8, direction=direction
-        )
-        expected = reference.bfs(twitter_tiny, hub_source)
-        assert np.array_equal(result.levels, expected), direction
-
     def test_path_graph(self):
         g = path_graph(8, directed=True)
-        result = run_direction_optimized_bfs(g, 0, num_parts=2)
-        assert list(result.levels) == list(range(8))
+        run = run_ndp_bfs(g, 0, 2)
+        assert list(run.result_property()) == list(range(8))
+        # Every iteration but the last discovers exactly one vertex.
+        assert list(offload_directions(run).discovered) == [1] * 7 + [0]
 
     def test_isolated_source(self):
         # Vertex 4 has no out-edges: one (empty) iteration, nothing found.
         g = path_graph(5, directed=True)
-        result = run_direction_optimized_bfs(g, 4, num_parts=2)
-        assert result.levels[4] == 0
-        assert np.all(result.levels[:4] == -1)
-        assert len(result.iterations) == 1
-        assert result.iterations[0].discovered == 0
+        modes = offload_directions(run_ndp_bfs(g, 4, 2))
+        assert list(modes.frontier) == [1]
+        assert list(modes.discovered) == [0]
 
 
 class TestAccountingConsistency:
-    def test_push_bytes_match_simulator(self, twitter_tiny, hub_source):
-        """Forced-push DOBFS must account exactly like the NDP simulator's
-        BFS — same partial-pair formula, same push bytes."""
-        assignment = HashPartitioner().partition(twitter_tiny, 8)
-        dobfs = run_direction_optimized_bfs(
-            twitter_tiny, hub_source, assignment=assignment, direction="push"
-        )
-        sim = DisaggregatedNDPSimulator(SystemConfig(num_memory_nodes=8))
-        run = sim.run(
-            twitter_tiny, BFS(), source=hub_source, assignment=assignment
-        )
-        assert np.array_equal(
-            dobfs.per_iteration_bytes(), run.per_iteration_bytes()
-        )
+    def test_covers_every_iteration(self, run, modes):
+        levels = run.result_property()
+        assert modes.push.size == run.num_iterations == int(levels.max()) + 1
+        for t in range(run.num_iterations):
+            assert modes.frontier[t] == int((levels == t).sum())
+            assert modes.discovered[t] == int((levels == t + 1).sum())
+        # The final iteration scans the last level and discovers nothing.
+        assert modes.discovered[-1] == 0
 
-    def test_pull_bytes_match_analytic_model(self, twitter_tiny, hub_source):
-        from repro.analysis import pull_iteration_bytes
-
-        result = run_direction_optimized_bfs(
-            twitter_tiny, hub_source, num_parts=8, direction="pull"
-        )
-        for it in result.iterations:
-            assert it.host_link_bytes == pull_iteration_bytes(
+    def test_pull_bytes_match_analytic_model(self, twitter_tiny, modes):
+        for discovered, pull in zip(modes.discovered, modes.pull):
+            assert pull == pull_iteration_bytes(
                 num_vertices=twitter_tiny.num_vertices,
                 num_parts=8,
-                discovered_next=it.discovered,
+                discovered_next=int(discovered),
                 wire_bytes=BFS().message.wire_bytes,
             )
 
-    def test_costs_recorded_for_both_alternatives(self, twitter_tiny, hub_source):
-        result = run_direction_optimized_bfs(
-            twitter_tiny, hub_source, num_parts=8
-        )
-        for it in result.iterations:
-            chosen_cost = (
-                it.push_cost_bytes if it.direction == "push" else it.pull_cost_bytes
-            )
-            assert it.host_link_bytes == chosen_cost
+    def test_costs_recorded_for_both_alternatives(self, run, modes):
+        assert np.array_equal(modes.push, run.per_iteration_bytes())
+        assert modes.pull.shape == modes.push.shape
+        for direction, auto, push, pull in zip(
+            modes.directions(), modes.auto(), modes.push, modes.pull
+        ):
+            assert auto == (push if direction == "push" else pull)
 
 
 class TestAutoPolicy:
-    def test_auto_beats_fixed_directions(self, twitter_tiny, hub_source):
-        auto = run_direction_optimized_bfs(
-            twitter_tiny, hub_source, num_parts=8, direction="auto"
-        )
-        push = run_direction_optimized_bfs(
-            twitter_tiny, hub_source, num_parts=8, direction="push"
-        )
-        pull = run_direction_optimized_bfs(
-            twitter_tiny, hub_source, num_parts=8, direction="pull"
-        )
-        assert auto.total_host_link_bytes <= push.total_host_link_bytes
-        assert auto.total_host_link_bytes <= pull.total_host_link_bytes
+    def test_auto_beats_fixed_directions(self, modes):
+        totals = modes.totals()
+        assert list(totals) == ["push", "pull", "auto"]
+        assert totals["auto"] <= min(totals["push"], totals["pull"])
 
-    def test_auto_picks_cheaper_each_iteration(self, twitter_tiny, hub_source):
-        result = run_direction_optimized_bfs(
-            twitter_tiny, hub_source, num_parts=8
-        )
-        for it in result.iterations:
-            expected = (
-                "push" if it.push_cost_bytes <= it.pull_cost_bytes else "pull"
-            )
-            assert it.direction == expected
+    def test_auto_picks_cheaper_each_iteration(self, modes):
+        for direction, push, pull in zip(
+            modes.directions(), modes.push, modes.pull
+        ):
+            assert direction == ("push" if push <= pull else "pull")
 
-    def test_direction_switches_on_skewed_graph(self, twitter_tiny, hub_source):
-        result = run_direction_optimized_bfs(
-            twitter_tiny, hub_source, num_parts=8
+    def test_ties_go_push(self):
+        tied = np.asarray([5, 7], dtype=np.int64)
+        modes = OffloadDirections(
+            frontier=np.ones(2, dtype=np.int64),
+            discovered=np.zeros(2, dtype=np.int64),
+            push=tied,
+            pull=tied.copy(),
         )
-        dirs = set(result.directions())
-        assert dirs == {"push", "pull"}
+        assert modes.directions() == ["push", "push"]
+
+    def test_direction_switches_on_skewed_graph(self, modes):
+        assert set(modes.directions()) == {"push", "pull"}
 
     def test_sparse_chain_stays_push(self):
         g = path_graph(64, directed=True)
-        result = run_direction_optimized_bfs(g, 0, num_parts=2)
+        modes = offload_directions(run_ndp_bfs(g, 0, 2))
         # One-vertex frontiers: pull's bitmap broadcast never pays off.
-        assert set(result.directions()) == {"push"}
-
-
-class TestValidation:
-    def test_bad_direction(self, twitter_tiny):
-        with pytest.raises(ConfigError):
-            run_direction_optimized_bfs(twitter_tiny, 0, direction="sideways")
-
-    def test_bad_source(self, twitter_tiny):
-        with pytest.raises(SimulationError):
-            run_direction_optimized_bfs(
-                twitter_tiny, twitter_tiny.num_vertices
-            )
-
-    def test_bad_assignment(self, twitter_tiny):
-        import numpy as np
-
-        from repro.partition.base import PartitionAssignment
-
-        bad = PartitionAssignment(np.zeros(3, dtype=np.int64), 2)
-        with pytest.raises(SimulationError):
-            run_direction_optimized_bfs(twitter_tiny, 0, assignment=bad)
+        assert set(modes.directions()) == {"push"}

@@ -76,6 +76,12 @@ class TestConstruction:
         assert g.num_vertices == 5
         assert g.num_edges == 0
 
+    @pytest.mark.parametrize("name", ["indptr", "indices", "weights"])
+    def test_arrays_are_read_only(self, name):
+        g = CSRGraph.from_edges([0, 1], [1, 2], 3, weights=[1.0, 2.0])
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(g, name)[0] = 0
+
 
 class TestValidation:
     def test_validate_rejects_bad_indptr_start(self):

@@ -1,10 +1,11 @@
-"""Property-based tests on kernel semantics and the DOBFS driver."""
+"""Property-based tests on kernel semantics and the direction model."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.dobfs import run_direction_optimized_bfs
+from repro.analysis import offload_directions
 from repro.arch.disaggregated import DisaggregatedSimulator
+from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
 from repro.graph.csr import CSRGraph
 from repro.kernels import reference
 from repro.kernels.bfs import BFS
@@ -32,22 +33,36 @@ def run_engine(graph, kernel, source=None):
     return sim.run(graph, kernel, source=source)
 
 
-@given(graphs_with_source(), st.sampled_from(["auto", "push", "pull"]))
-@settings(max_examples=40, deadline=None)
-def test_dobfs_matches_reference_on_random_graphs(data, direction):
-    graph, source = data
-    result = run_direction_optimized_bfs(
-        graph, source, num_parts=3, direction=direction
-    )
-    assert np.array_equal(result.levels, reference.bfs(graph, source))
-
-
 @given(graphs_with_source())
-@settings(max_examples=30, deadline=None)
-def test_bfs_engine_matches_reference(data):
+@settings(max_examples=40, deadline=None)
+def test_dobfs_matches_reference_on_random_graphs(data):
     graph, source = data
-    run = run_engine(graph, BFS(), source=source)
+    run = DisaggregatedNDPSimulator(SystemConfig(num_memory_nodes=3)).run(
+        graph, BFS(), source=source
+    )
+    modes = offload_directions(run)
+    levels = reference.bfs(graph, source)
+    # Iteration t scans reference level t and discovers level t+1.
+    assert modes.frontier.size == int(levels.max()) + 1
+    for t in range(modes.frontier.size):
+        assert modes.frontier[t] == int((levels == t).sum())
+        assert modes.discovered[t] == int((levels == t + 1).sum())
+
+
+@given(
+    graphs_with_source(),
+    st.sampled_from([DisaggregatedSimulator, DisaggregatedNDPSimulator]),
+)
+@settings(max_examples=60, deadline=None)
+def test_bfs_engine_matches_reference(data, simulator):
+    graph, source = data
+    run = simulator(SystemConfig(num_memory_nodes=3)).run(
+        graph, BFS(), source=source
+    )
     assert np.array_equal(run.result_property(), reference.bfs(graph, source))
+    if simulator is DisaggregatedNDPSimulator:
+        totals = offload_directions(run).totals()
+        assert totals["auto"] <= min(totals["push"], totals["pull"])
 
 
 @given(graphs_with_source())
