@@ -19,10 +19,14 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.arch.compare import compare_architectures
-from repro.experiments.common import DEFAULT_SEED, DEFAULT_TIER, ExperimentResult
+from repro.experiments.common import (
+    DEFAULT_SEED,
+    DEFAULT_TIER,
+    ExperimentResult,
+    load_dataset,
+)
 from repro.faults.checkpoint import EveryKCheckpoint
 from repro.faults.schedule import FaultSchedule, FaultSpec
-from repro.graph.datasets import load_dataset
 from repro.kernels.registry import get_kernel
 from repro.runtime.config import SystemConfig
 from repro.telemetry.report import fault_table

@@ -13,8 +13,12 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.arch.disaggregated import DisaggregatedSimulator
-from repro.experiments.common import DEFAULT_SEED, DEFAULT_TIER, ExperimentResult
-from repro.graph.datasets import load_dataset
+from repro.experiments.common import (
+    DEFAULT_SEED,
+    DEFAULT_TIER,
+    ExperimentResult,
+    load_dataset,
+)
 from repro.kernels.registry import PAPER_KERNELS, get_kernel
 from repro.runtime.config import SystemConfig
 from repro.utils.tables import TextTable

@@ -13,8 +13,12 @@ from typing import Dict
 
 from repro.arch.disaggregated import DisaggregatedSimulator
 from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
-from repro.experiments.common import DEFAULT_SEED, DEFAULT_TIER, ExperimentResult
-from repro.graph.datasets import load_dataset
+from repro.experiments.common import (
+    DEFAULT_SEED,
+    DEFAULT_TIER,
+    ExperimentResult,
+    load_dataset,
+)
 from repro.kernels.pagerank import PageRank
 from repro.runtime.config import SystemConfig
 from repro.utils.tables import TextTable

@@ -20,8 +20,12 @@ import numpy as np
 
 from repro.arch.disaggregated import DisaggregatedSimulator
 from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
-from repro.experiments.common import DEFAULT_SEED, DEFAULT_TIER, ExperimentResult
-from repro.graph.datasets import load_dataset
+from repro.experiments.common import (
+    DEFAULT_SEED,
+    DEFAULT_TIER,
+    ExperimentResult,
+    load_dataset,
+)
 from repro.kernels.registry import get_kernel
 from repro.runtime.config import SystemConfig
 from repro.utils.tables import TextTable

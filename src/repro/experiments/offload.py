@@ -27,9 +27,13 @@ from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
 from repro.arch.distributed import DistributedSimulator
 from repro.arch.distributed_ndp import DistributedNDPSimulator
 from repro.arch.trace import record_trace
-from repro.experiments.common import DEFAULT_SEED, DEFAULT_TIER, ExperimentResult
+from repro.experiments.common import (
+    DEFAULT_SEED,
+    DEFAULT_TIER,
+    ExperimentResult,
+    load_dataset,
+)
 from repro.experiments.fig7 import PANELS
-from repro.graph.datasets import load_dataset
 from repro.kernels.registry import get_kernel
 from repro.obs.span import CATEGORY_ITERATION, Tracer, use_tracer
 from repro.runtime.config import SystemConfig

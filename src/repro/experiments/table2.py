@@ -9,8 +9,12 @@ provisioning model at paper-scale demand.
 from __future__ import annotations
 
 from repro.arch.compare import compare_architectures
-from repro.experiments.common import DEFAULT_SEED, DEFAULT_TIER, ExperimentResult
-from repro.graph.datasets import load_dataset
+from repro.experiments.common import (
+    DEFAULT_SEED,
+    DEFAULT_TIER,
+    ExperimentResult,
+    load_dataset,
+)
 from repro.kernels.pagerank import PageRank
 from repro.runtime.config import SystemConfig
 

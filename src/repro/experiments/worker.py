@@ -23,7 +23,8 @@ is how the chaos harness exercises the coordinator's crash/hang
 supervision deterministically across real process boundaries.
 
 Exit codes: 0 on coordinator-initiated shutdown, 2 on configuration or
-handshake errors, 3 on a lost connection.
+handshake errors, 3 on a lost connection, 4 when the coordinator cannot
+be reached at all.
 """
 
 from __future__ import annotations
@@ -293,7 +294,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     except OSError as exc:
         print(f"cannot reach coordinator {host}:{port}: {exc}", file=sys.stderr)
-        return 2
+        return 4
     sock.settimeout(None)
     conn = _Connection(sock)
     try:

@@ -32,6 +32,11 @@ _INDEX_DTYPE = np.int64
 #: footprint and gather bandwidth of the dominant ``indices`` array.
 _NARROW_DTYPE = np.uint32
 
+#: Largest vertex count for which ``from_edges`` sorts on the single int64
+#: key ``src * n + dst`` (at most ``n**2 - 1``, so it cannot overflow);
+#: larger graphs fall back to a two-key ``np.lexsort``.
+_KEY_MAX_N = 2**31
+
 _uid_counter = itertools.count()
 
 
@@ -162,7 +167,25 @@ class CSRGraph:
                 f"num_vertices={n} is smaller than max vertex id {inferred - 1}"
             )
 
-        if sort_neighbors or dedup:
+        if (sort_neighbors or dedup) and n <= _KEY_MAX_N:
+            # One int64 key per edge sorts in lexsort's (src, dst) order.
+            # Equal keys are equal edges, so an unstable sort is exact
+            # unless weights ride along ("dedup keeps the first weight").
+            key = src * n + dst
+            if weights is None:
+                key = np.sort(key)
+            else:
+                order = np.argsort(key, kind="stable")
+                key, weights = key[order], weights[order]
+            if dedup and key.size:
+                keep = np.empty(key.size, dtype=bool)
+                keep[0] = True
+                np.not_equal(key[1:], key[:-1], out=keep[1:])
+                key = key[keep]
+                if weights is not None:
+                    weights = weights[keep]
+            src, dst = np.divmod(key, n)
+        elif sort_neighbors or dedup:
             order = np.lexsort((dst, src))
             src, dst = src[order], dst[order]
             if weights is not None:

@@ -7,17 +7,21 @@ the references against networkx/scipy where semantics align.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import KernelError
 from repro.graph.csr import CSRGraph
 from repro.graph.traversal import bfs_levels, weak_component_labels
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 
 def _adjacency(graph: CSRGraph, *, weighted: bool = False) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     src, dst = graph.edge_array()
     if weighted:
         data = graph.weights if graph.weights is not None else np.ones(src.size)
@@ -67,8 +71,10 @@ def sssp(graph: CSRGraph, source: int) -> np.ndarray:
         raise KernelError(
             f"source {source} out of range [0, {graph.num_vertices})"
         )
+    from scipy.sparse import csgraph
+
     adj = _adjacency(graph, weighted=True)
-    dist = sp.csgraph.dijkstra(adj, directed=True, indices=source)
+    dist = csgraph.dijkstra(adj, directed=True, indices=source)
     return np.asarray(dist).ravel()
 
 
@@ -113,7 +119,9 @@ def scc(graph: CSRGraph) -> np.ndarray:
     n = graph.num_vertices
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    _, labels = sp.csgraph.connected_components(
+    from scipy.sparse import csgraph
+
+    _, labels = csgraph.connected_components(
         _adjacency(graph), directed=True, connection="strong"
     )
     # Canonicalize: label each component by its minimum vertex id.

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -137,7 +138,7 @@ class TestRemoteParity:
         # The first worker drains the whole queue before the second one
         # even starts: the coordinator must keep its listener until
         # min_workers handshakes and send the late worker the normal
-        # shutdown, not leave it to a refused connection (exit 2).
+        # shutdown, not leave it to a refused connection (exit 4).
         journal = tmp_path / "sweep.journal"
         late: list = []
 
@@ -273,6 +274,18 @@ class TestRemoteAuth:
         )
         with pytest.raises(SchedulerError, match="0 of 1 required workers"):
             run_sweep(TASKS[:1], scheduler=sched)
+
+
+class TestWorkerExitCodes:
+    def test_unreachable_coordinator_exits_4(self, fleet):
+        # A bound socket that never listens refuses connections, and
+        # holding it keeps any other process off the port meanwhile.
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as closed:
+            closed.bind(("127.0.0.1", 0))
+            fleet.spawn("127.0.0.1", closed.getsockname()[1])
+            assert fleet.procs[0].wait(timeout=20) == 4
+        out = fleet.procs[0].stdout.read().decode()
+        assert "cannot reach coordinator" in out
 
 
 class TestRemoteJournal:

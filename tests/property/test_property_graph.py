@@ -1,8 +1,12 @@
 """Property-based tests on the graph substrate (hypothesis)."""
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.graph import csr
 from repro.graph.csr import CSRGraph
 from repro.graph.stats import gini
 from repro.graph.traversal import bfs_levels, weak_component_labels
@@ -79,6 +83,52 @@ def test_dedup_idempotent(data):
     s, d = once.edge_array()
     twice = CSRGraph.from_edges(s, d, n, dedup=True)
     assert once == twice
+
+
+def _lexsort_oracle(n, src, dst, weights, dedup, sort_neighbors):
+    """``(indptr, indices, weights)`` as the two-key lexsort build gives them."""
+    if sort_neighbors or dedup:
+        order = np.lexsort((dst, src))
+    else:
+        order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    weights = None if weights is None else weights[order]
+    if dedup and src.size:
+        keep = np.ones(src.size, dtype=bool)
+        keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+        src, dst = src[keep], dst[keep]
+        weights = None if weights is None else weights[keep]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+    return indptr, dst, weights
+
+
+@pytest.mark.parametrize("path", ["key", "lexsort"])
+@given(
+    edge_lists(max_vertices=12, max_edges=150),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_from_edges_matches_lexsort_oracle(path, data, weighted, dedup, sort_neighbors):
+    # Few vertices and many edges make duplicate pairs the common case;
+    # distinct weights show which duplicate dedup kept.
+    n, src, dst = data
+    weights = np.arange(src.size, dtype=np.float64) if weighted else None
+    # ``n`` is the largest count sorted on the single key, ``n - 1`` the
+    # smallest that falls back to lexsort.
+    key_max_n = n if path == "key" else n - 1
+    with mock.patch.object(csr, "_KEY_MAX_N", key_max_n):
+        g = CSRGraph.from_edges(
+            src, dst, n, weights, dedup=dedup, sort_neighbors=sort_neighbors
+        )
+    indptr, indices, w = _lexsort_oracle(n, src, dst, weights, dedup, sort_neighbors)
+    assert np.array_equal(g.indptr, indptr)
+    assert np.array_equal(g.indices, indices)
+    if weighted:
+        assert np.array_equal(g.weights, w)
+    else:
+        assert g.weights is None
 
 
 @given(edge_lists())

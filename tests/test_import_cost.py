@@ -1,0 +1,46 @@
+"""Start-up stays free of scipy.
+
+Every CLI run, sweep worker, serve daemon and test subprocess pays for
+what ``import repro`` pulls in; scipy is needed only by the spectral
+partitioner and the test-side reference kernels, which import it when
+they run.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+ENTRY_POINTS = (
+    "repro",
+    "repro.cli",
+    "repro.experiments.runner",
+    "repro.experiments.worker",
+    "repro.serve",
+)
+
+
+def test_entry_points_do_not_import_scipy():
+    code = (
+        "import importlib, sys\n"
+        f"for name in {ENTRY_POINTS!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
