@@ -517,9 +517,9 @@ class SweepSpec:
     journal_path: Optional[str] = None
     #: resume a journaled sweep instead of starting fresh
     resume: bool = False
-    #: quarantine a task after it kills the worker pool this many times
+    #: quarantine a task after it kills a sweep worker this many times
     poison_threshold: Optional[int] = None
-    #: declare a worker hung after its heartbeat is stale this long
+    #: declare a worker hung after its keepalive is stale this long
     heartbeat_timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
@@ -543,7 +543,7 @@ def sweep(
     ``tasks`` is a sequence of :class:`~repro.experiments.sweep.SweepTask`
     (default: the Fig. 7 panel set); ``spec`` is a :class:`SweepSpec`
     describing the execution (jobs, retries, journal, ...), with keyword
-    overrides winning as usual.  ``jobs > 1`` fans out over supervised
+    overrides winning as usual.  ``jobs > 1`` fans out over forked
     worker processes sharing the CSR arrays; when a tracer is active the
     workers' span batches are stitched into the parent timeline.
     ``journal_path``/``resume`` make the sweep crash-safe: a killed run

@@ -19,12 +19,12 @@ Injection points:
 * **Worker actions** (``kill``/``hang``/``crash``) ride into sweep workers
   through :func:`repro.experiments.sweep.run_sweep`'s ``chaos_plan`` and
   execute via :func:`apply_in_worker` — a real ``SIGKILL``, a real
-  ``SIGSTOP``, a real ``os._exit``.  No exception, no cleanup.  The same
-  plan crosses the wire under ``--scheduler remote``: the coordinator
-  takes the action at dispatch and ships it with the task, and the
-  ``repro-worker`` process applies it to *itself* before doing any work
-  (:mod:`repro.experiments.remote`), so distributed supervision is
-  exercised by genuinely killed remote workers.
+  ``SIGSTOP``, a real ``os._exit``.  No exception, no cleanup.  The sweep
+  coordinator (:mod:`repro.experiments.remote`) takes the action at
+  dispatch and ships it with the task, and the worker — forked locally or
+  a ``repro-worker`` on another host — applies it to *itself* before
+  doing any work, so supervision is exercised by genuinely killed
+  workers.
 * **File faults** (:func:`tear_tail`, :func:`flip_bytes`,
   :func:`corrupt_artifact`) mutilate on-disk state the way crashed writers
   and bad disks do, for recovery-path tests.
@@ -55,10 +55,11 @@ __all__ = [
 #: Worker-side chaos actions, in severity order:
 #:
 #: * ``crash`` — ``os._exit(3)``: the process vanishes the way an uncaught
-#:   fatal signal or a C-level abort leaves it (pool breaks, no traceback);
+#:   fatal signal or a C-level abort leaves it (connection lost, no
+#:   traceback);
 #: * ``kill``  — ``SIGKILL`` to self: identical to the OOM killer;
 #: * ``hang``  — ``SIGSTOP`` to self: the process *freezes* without dying,
-#:   heartbeats stop, and the pool never notices on its own — exactly the
+#:   keepalives stop, and its connection stays open — exactly the
 #:   failure mode worker supervision exists to catch.
 CHAOS_KINDS = ("crash", "kill", "hang")
 

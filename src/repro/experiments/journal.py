@@ -39,7 +39,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -100,10 +100,14 @@ def outcome_to_json(outcome: Any) -> Dict[str, Any]:
     the full task list), and spans are process-local observability, not
     results — both are restored structurally on load.
     """
-    record = asdict(outcome)
-    record.pop("task", None)
-    record.pop("spans", None)
-    return record
+    # Shallow on purpose: every other field is a str, int, bool or tuple
+    # of ints, and a deep ``asdict`` copy of the task costs more than the
+    # rest of a worker's result message.
+    return {
+        f.name: getattr(outcome, f.name)
+        for f in fields(outcome)
+        if f.name not in ("task", "spans")
+    }
 
 
 def outcome_from_json(record: Mapping[str, Any], task: Any) -> Any:

@@ -1,23 +1,28 @@
-"""Distributed sweep coordinator: a content-addressed TCP work queue.
+"""Sweep coordinator: a content-addressed TCP work queue.
 
-``RemoteScheduler`` plugs into the :class:`~repro.experiments.scheduler.
-SweepScheduler` seam and fans a sweep's tasks out to ``repro-worker``
-processes on any number of hosts.  The design follows the paper's
-disaggregation discipline — move *descriptors*, not data:
+Every parallel sweep runs here, on one box or many.  ``run_sweep(jobs=N)``
+binds the coordinator to loopback and forks N workers from the sweep
+process (:func:`run_forked`); :class:`RemoteScheduler` plugs into the
+:class:`~repro.experiments.scheduler.SweepScheduler` seam and serves
+``repro-worker`` processes on any number of hosts.  Both are the same
+event loop, so they share one set of failure semantics.  The design
+follows the paper's disaggregation discipline — move *descriptors*, not
+data:
 
 * the **control plane** is newline-delimited JSON over one TCP connection
   per worker: task dispatch ships :func:`task_to_json` (a few hundred
-  bytes) plus the dataset's content digest, never the graph;
-* the **data plane** is the content-addressed artifact cache.  A worker
-  materializes each graph from its *local* cache by digest; only on a
-  local miss does it pull the ``.npz`` bytes over the same connection,
-  installing them through :meth:`ArtifactCache.import_bytes` (full-read
-  validation + atomic rename) so every subsequent sweep on that host is
-  a pure cache hit.
+  bytes) plus a graph descriptor, never the graph;
+* the **data plane** is shared memory for forked workers (the descriptor
+  is a :class:`~repro.experiments.sweep.SharedGraphSpec`, attached
+  zero-copy) and the content-addressed artifact cache for remote ones.
+  A remote worker materializes each graph from its *local* cache by
+  digest; only on a local miss does it pull the ``.npz`` bytes over the
+  same connection, installing them through
+  :meth:`ArtifactCache.import_bytes` (full-read validation + atomic
+  rename) so every subsequent sweep on that host is a pure cache hit.
 
-Failure semantics mirror the single-host supervised pool exactly — the
-journal, the tests, and a resumed sweep cannot tell the schedulers
-apart:
+Failure semantics — the journal, the tests, and a resumed sweep cannot
+tell a local run from a distributed one:
 
 * a lost connection mid-task charges the task an attempt and re-queues
   it with the shared capped-exponential :class:`BackoffPolicy`;
@@ -28,13 +33,18 @@ apart:
 * a *deterministic* in-task exception reported by the worker is fatal
   (or a placeholder under ``keep_going``), never retried;
 * journal records are written by the coordinator only — ``start`` at
-  dispatch, ``outcome`` on completion — identically to the local path,
-  so ``--resume`` works across scheduler switches.
+  dispatch, ``outcome`` on completion — so ``--resume`` works across
+  scheduler switches.
+
+Forked workers are the coordinator's own children, so it also launches
+them: a worker whose connection drops while tasks remain is SIGKILLed
+(it may be SIGSTOPped or over its budget), reaped and replaced, and every
+worker is SIGKILLed and reaped when the sweep ends, however it ends.
 
 Chaos (:mod:`repro.chaos`) is taken from the same plan at dispatch and
 shipped as a task field; the worker applies it to *itself* before doing
-any work, so ``kill``/``hang``/``crash`` exercise the real remote
-supervision path deterministically.
+any work, so ``kill``/``hang``/``crash`` exercise the real supervision
+path deterministically.
 """
 
 from __future__ import annotations
@@ -44,13 +54,17 @@ import heapq
 import hmac
 import json
 import os
+import secrets
 import signal
 import socket
+import sys
 import threading
 import time
+import traceback
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.cache import (
     ArtifactCache,
@@ -84,14 +98,15 @@ LINE_LIMIT = 1 << 22
 #: coordinator supervision poll cadence (bounds blame latency)
 _WATCH_S = 0.25
 
-#: dispatch poll cadence while the ready queue is empty
-_IDLE_S = 0.05
-
 #: how long a connection may sit silent before the handshake line
 _HELLO_TIMEOUT_S = 10.0
 
 #: environment variable holding the shared worker token by default
 TOKEN_ENV = "REPRO_SWEEP_TOKEN"
+
+#: per task: (graph display name, graph descriptor fields of the task
+#: message — ``{"artifact": ...}`` remotely, ``{"shm": ...}`` when forked)
+GraphTable = Dict[Tuple[str, str, int], Tuple[str, Dict[str, Any]]]
 
 
 def encode_msg(msg: Dict[str, Any]) -> bytes:
@@ -191,7 +206,7 @@ class RemoteScheduler(SweepScheduler):
         # Resolve every distinct graph up front: warms the coordinator
         # cache (the fetch source) and pins the graph display names the
         # journal records.  Only descriptors ever reach the workers.
-        graphs: Dict[Tuple[str, str, int], Tuple[str, Optional[Dict[str, str]]]] = {}
+        graphs: GraphTable = {}
         for _idx, task in todo:
             if task.graph_key in graphs:
                 continue
@@ -205,11 +220,93 @@ class RemoteScheduler(SweepScheduler):
                     "kind": "dataset",
                     "key": dataset_key(task.dataset, task.tier, key_seed, 0),
                 }
-            graphs[task.graph_key] = (spec.name, artifact)
+            graphs[task.graph_key] = (spec.name, {"artifact": artifact})
         coordinator = _Coordinator(
             self, todo, results, session, chaos, opts, graphs, cache
         )
         asyncio.run(coordinator.run())
+
+
+def run_forked(todo, graphs, results, session, chaos, opts, *, workers: int) -> None:
+    """Run a sweep on ``workers`` processes forked from this one.
+
+    ``graphs`` maps each task's ``graph_key`` to ``(CSRGraph, display
+    name)``.  They are published to shared memory for the sweep, and each
+    task message carries its graph's :class:`SharedGraphSpec`, so no
+    graph crosses the loopback socket.  The coordinator binds an
+    OS-assigned port with a per-sweep random token.
+    """
+    from repro.experiments import sweep
+
+    sched = RemoteScheduler(
+        token=secrets.token_hex(16), worker_wait_s=opts.heartbeat_timeout_s
+    )
+    fleet = _ForkedFleet(workers, sched.token)
+    with sweep.published_graphs(graphs) as specs:
+        table: GraphTable = {
+            key: (name, {"shm": spec.to_json()})
+            for key, (spec, name) in specs.items()
+        }
+        coordinator = _Coordinator(
+            sched, todo, results, session, chaos, opts, table, None, fleet
+        )
+        try:
+            asyncio.run(coordinator.run())
+        finally:
+            fleet.close()
+
+
+class _ForkedFleet:
+    """The coordinator's forked workers: spawn, SIGKILL and reap.
+
+    Forking, not exec'ing, keeps worker start-up at milliseconds.  The
+    child resets the signal state it inherited from the coordinator's
+    event loop, closes the coordinator's sockets (so a dead coordinator
+    reads as EOF, not silence), runs the ``repro-worker`` serve loop
+    with its progress lines discarded, and leaves through ``os._exit``.
+    """
+
+    def __init__(self, size: int, token: str) -> None:
+        self.size = size
+        self.token = token
+        self.pids: Set[int] = set()
+
+    def spawn(self, host: str, port: int, inherited: Iterable[int]) -> None:
+        from repro.experiments import worker  # before the fork, once
+
+        pid = os.fork()
+        if pid:
+            self.pids.add(pid)
+            return
+        code = 70
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_DFL)
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            signal.set_wakeup_fd(-1)
+            for fd in inherited:
+                with suppress(OSError):
+                    os.close(fd)
+            # Progress lines would interleave with the sweep's own output.
+            sys.stdout = open(os.devnull, "w")
+            code = worker.serve(
+                host, port, token=self.token, name="local", cache=None
+            )
+        except Exception:  # pragma: no cover - worker bug
+            traceback.print_exc()
+        finally:
+            os._exit(code)  # never return into the coordinator's stack
+
+    def retire(self, pid: int) -> None:
+        """SIGKILL and reap one worker (no-op for a pid not forked here)."""
+        if pid in self.pids:
+            self.pids.discard(pid)
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+    def close(self) -> None:
+        for pid in list(self.pids):
+            self.retire(pid)
 
 
 class _Coordinator:
@@ -223,8 +320,9 @@ class _Coordinator:
         session: Any,
         chaos: Any,
         opts: SweepOptions,
-        graphs: Dict[Tuple[str, str, int], Tuple[str, Optional[Dict[str, str]]]],
+        graphs: GraphTable,
         cache: Optional[ArtifactCache],
+        fleet: Optional[_ForkedFleet] = None,
     ) -> None:
         self.sched = sched
         self.results = results
@@ -233,6 +331,7 @@ class _Coordinator:
         self.opts = opts
         self.graphs = graphs
         self.cache = cache
+        self.fleet = fleet
         self.digest = sweep_digest([task for _idx, task in todo])
         #: ready-to-dispatch heap: (ready_at, seq, idx, task, tries)
         self.pending: List[Tuple[float, int, int, Any, int]] = []
@@ -245,21 +344,48 @@ class _Coordinator:
         self.connected = 0
         self.fatal: Optional[BaseException] = None
         self.interrupted: Optional[str] = None
+        self.closing = False
         #: cumulative successful handshakes — the startup gate counts
         #: arrivals, not current liveness, so a worker that connects and
         #: is promptly chaos-killed still satisfies it
         self.handshakes = 0
         #: liveness: once a worker has connected, a sweep with tasks left
         #: and zero connections for worker_wait_s is declared dead rather
-        #: than spinning forever
+        #: than waiting forever
         self._drought_since: Optional[float] = None
-        #: worker keepalive cadence, derived like the local heartbeat
+        #: worker keepalive cadence, a fifth of the staleness bound
         self.keepalive_s = min(1.0, opts.heartbeat_timeout_s / 5.0)
         self._old_signals: Dict[int, Any] = {}
+        #: set (and replaced) on every state change a waiter may care
+        #: about: dispatchable work, resolution, failure, signals, workers
+        self._wake = asyncio.Event()
+        #: the listener's and every open connection's socket fds, which a
+        #: forked worker closes
+        self._fds: Set[int] = set()
 
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
+
+    def _open(self) -> bool:
+        """Tasks remain and nothing has ended the sweep."""
+        return bool(
+            self.remaining
+            and self.fatal is None
+            and self.interrupted is None
+            and not self.closing
+        )
+
+    def _notify(self) -> None:
+        wake, self._wake = self._wake, asyncio.Event()
+        wake.set()
+
+    async def _wait(self, timeout: Optional[float]) -> None:
+        """Sleep until the next :meth:`_notify` or ``timeout`` seconds."""
+        try:
+            await asyncio.wait_for(self._wake.wait(), timeout)
+        except asyncio.TimeoutError:
+            pass
 
     # ------------------------------------------------------------------ #
     # Main loop
@@ -273,6 +399,7 @@ class _Coordinator:
         )
         watchdog = asyncio.ensure_future(self._watchdog())
         try:
+            self._fds.update(sock.fileno() for sock in server.sockets)
             sockname = server.sockets[0].getsockname()
             host, port = sockname[0], int(sockname[1])
             self.sched.bound = (host, port)
@@ -280,20 +407,20 @@ class _Coordinator:
                 write_ready_file(self.sched.ready_file, host, port)
             if self.sched.on_ready is not None:
                 self.sched.on_ready(host, port)
-            get_tracer().event(
-                "coordinator-ready", host=host, port=port, sweep=self.digest
-            )
+            if self.fleet is None:
+                get_tracer().event(
+                    "coordinator-ready", host=host, port=port, sweep=self.digest
+                )
+            else:
+                for _ in range(self.fleet.size):
+                    self._spawn()
             await self._await_workers()
-            while (
-                self.remaining
-                and self.fatal is None
-                and self.interrupted is None
-            ):
-                self._check_liveness()
-                await asyncio.sleep(_IDLE_S)
+            while self._open():
+                await self._wait(self._check_liveness())
         except SchedulerError as exc:
             self.fatal = exc
         finally:
+            self.closing = True
             watchdog.cancel()
             self._remove_signals(loop)
             await self._shutdown_conns()
@@ -310,22 +437,26 @@ class _Coordinator:
         if self.fatal is not None:
             raise self.fatal
 
-    def _check_liveness(self) -> None:
+    def _spawn(self) -> None:
+        self.fleet.spawn(*self.sched.bound, inherited=tuple(self._fds))
+
+    def _check_liveness(self) -> Optional[float]:
         """Fail the sweep if every worker is gone and none come back.
 
         Chaos kills, crashes, and network partitions can consume the
         whole fleet while retries are still queued; without this check
-        the dispatch loop would poll an unservable heap forever.
+        the dispatch loop would wait on an unservable heap forever.
+        Returns how long the main loop may sleep before checking again.
         """
-        if self.connected > 0:
+        if self.connected > 0 or self.handshakes == 0:
+            # Connected, or still covered by the startup worker gate.
             self._drought_since = None
-            return
-        if self.handshakes == 0:
-            return  # still covered by the startup worker gate
+            return None
         now = time.time()
         if self._drought_since is None:
             self._drought_since = now
-        elif now - self._drought_since > self.sched.worker_wait_s:
+        left = self._drought_since + self.sched.worker_wait_s - now
+        if left < 0:
             self._fail(
                 SchedulerError(
                     f"all workers disconnected with {len(self.remaining)} "
@@ -333,27 +464,28 @@ class _Coordinator:
                     f"{self.sched.worker_wait_s:g}s"
                 )
             )
+        return max(left, 0.0) + _WATCH_S
 
     async def _await_workers(self) -> None:
-        if self.sched.min_workers <= 0:
-            return
         deadline = time.time() + self.sched.worker_wait_s
-        while time.time() < deadline:
-            # The gate holds the listener open even after the queue has
-            # drained: a worker that starts late then gets the normal
-            # shutdown (exit 0), not a refused connection (exit 2).
-            if (
-                self.handshakes >= self.sched.min_workers
-                or self.fatal is not None
-                or self.interrupted is not None
-            ):
+        # The gate holds the listener open even after the queue has
+        # drained: a worker that starts late then gets the normal
+        # shutdown (exit 0), not a refused connection (exit 4).
+        while (
+            self.handshakes < self.sched.min_workers
+            and self.fatal is None
+            and self.interrupted is None
+        ):
+            left = deadline - time.time()
+            if left <= 0:
+                if self.remaining:
+                    raise SchedulerError(
+                        f"only {self.handshakes} of {self.sched.min_workers} "
+                        f"required workers connected within "
+                        f"{self.sched.worker_wait_s:g}s"
+                    )
                 return
-            await asyncio.sleep(_IDLE_S)
-        if self.handshakes < self.sched.min_workers and self.remaining:
-            raise SchedulerError(
-                f"only {self.handshakes} of {self.sched.min_workers} required "
-                f"workers connected within {self.sched.worker_wait_s:g}s"
-            )
+            await self._wait(left)
 
     # ------------------------------------------------------------------ #
     # Per-connection handling
@@ -362,18 +494,25 @@ class _Coordinator:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        fd = writer.get_extra_info("socket").fileno()
+        self._fds.add(fd)
         try:
             conn = await self._handshake(reader, writer)
-        except Exception:
+        except (Exception, asyncio.CancelledError):
+            # A failed handshake, or loop teardown caught a worker (say, a
+            # replacement forked just before the sweep failed) mid-hello.
             conn = None
         if conn is None:
+            self._fds.discard(fd)
             writer.close()
             return
         self.conns.add(conn)
         self.connected += 1
         self.handshakes += 1
         METRICS.gauge(M.SWEEP_REMOTE_WORKERS).set(self.connected)
-        get_tracer().event("worker-connected", worker=conn.ident)
+        if self.fleet is None:
+            get_tracer().event("worker-connected", worker=conn.ident)
+        self._notify()
         pump = asyncio.ensure_future(self._pump(conn, reader))
         try:
             await self._serve_conn(conn)
@@ -387,10 +526,19 @@ class _Coordinator:
             self.conns.discard(conn)
             self.connected -= 1
             METRICS.gauge(M.SWEEP_REMOTE_WORKERS).set(max(self.connected, 0))
+            self._fds.discard(fd)
             try:
                 writer.close()
             except Exception:  # pragma: no cover - already severed
                 pass
+            if self.fleet is not None:
+                # Dead, severed by the watchdog, or done: SIGKILL (a
+                # SIGSTOPped worker ignores anything gentler), reap, and
+                # replace it while there is work left.
+                self.fleet.retire(conn.pid)
+                if self._open():
+                    self._spawn()
+            self._notify()
 
     async def _handshake(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -475,7 +623,7 @@ class _Coordinator:
                 )
                 return
             idx, task, tries = assignment
-            graph_name, artifact = self.graphs[task.graph_key]
+            graph_name, where = self.graphs[task.graph_key]
             conn.outstanding = (idx, task, tries, time.time())
             conn.blame = None
             self.session.start(idx, tries + 1)
@@ -488,9 +636,9 @@ class _Coordinator:
                     "attempt": tries + 1,
                     "task": task_to_json(task),
                     "graph_name": graph_name,
-                    "artifact": artifact,
                     "chaos": self.chaos.take(task.label),
                     "collect_spans": self.opts.collect_spans,
+                    **where,
                 },
             )
             if not dispatched:
@@ -519,22 +667,21 @@ class _Coordinator:
 
     async def _next_assignment(self) -> Optional[Tuple[int, Any, int]]:
         """Block until a task is ready, or ``None`` on sweep end."""
-        while True:
-            if (
-                self.fatal is not None
-                or self.interrupted is not None
-                or not self.remaining
-            ):
-                return None
-            if self.pending and self.pending[0][0] <= time.time():
-                _ready, _seq, idx, task, tries = heapq.heappop(self.pending)
-                if idx not in self.remaining:  # pragma: no cover - defensive
-                    continue
+        while self._open():
+            if not self.pending:
+                await self._wait(None)
+                continue
+            delay = self.pending[0][0] - time.time()
+            if delay > 0:  # backing off before a retry
+                await self._wait(delay)
+                continue
+            _ready, _seq, idx, task, tries = heapq.heappop(self.pending)
+            if idx in self.remaining:
                 return idx, task, tries
-            await asyncio.sleep(_IDLE_S)
+        return None
 
     # ------------------------------------------------------------------ #
-    # Outcome accounting (mirrors the local supervised pool)
+    # Outcome accounting
     # ------------------------------------------------------------------ #
 
     def _record_result(
@@ -542,11 +689,14 @@ class _Coordinator:
     ) -> None:
         from repro.experiments.sweep import _failed_outcome
 
+        self._notify()
         graph_name = self.graphs[task.graph_key][0]
         if msg.get("status") == "ok":
             outcome = outcome_from_json(msg.get("outcome") or {}, task)
             spans: Any = msg.get("spans") or ()
-            if spans:
+            if spans and self.fleet is None:
+                # Where a task ran matters across hosts; forked workers
+                # leave the batch as a serial run records it.
                 spans = stamp_batch(spans, host=conn.host, worker=conn.name)
             outcome = replace(outcome, attempts=tries + 1, spans=tuple(spans))
             self.results[idx] = outcome
@@ -554,7 +704,7 @@ class _Coordinator:
             self.remaining.discard(idx)
             return
         # Deterministic in-task failure: the worker survived to report
-        # it, so retrying would fail identically (same rule locally).
+        # it, so retrying would fail identically (same rule serially).
         error = str(msg.get("error") or "worker reported an unknown failure")
         failed = _failed_outcome(task, graph_name, error, tries + 1)
         self.session.outcome(idx, "failed", failed)
@@ -572,6 +722,7 @@ class _Coordinator:
         """Charge a lost/hung/over-budget task one attempt and reroute it."""
         from repro.experiments.sweep import _failed_outcome
 
+        self._notify()
         if (
             idx not in self.remaining
             or self.fatal is not None
@@ -598,6 +749,7 @@ class _Coordinator:
             self.results[idx] = quarantined
             self.session.outcome(idx, "quarantined", quarantined)
             METRICS.counter(M.SWEEP_QUARANTINED).inc()
+            get_tracer().event("task-quarantined", label=task.label, kills=kills)
             self.remaining.discard(idx)
             return
         if tries + 1 <= self.opts.retries:
@@ -624,6 +776,7 @@ class _Coordinator:
     def _fail(self, exc: BaseException) -> None:
         if self.fatal is None:
             self.fatal = exc
+        self._notify()
 
     # ------------------------------------------------------------------ #
     # Supervision
@@ -632,11 +785,11 @@ class _Coordinator:
     async def _watchdog(self) -> None:
         """Blame and sever stale or over-budget connections.
 
-        This generalizes the local heartbeat supervisor: a worker whose
-        keepalive went silent (SIGSTOP'd, wedged, network-dead) or whose
-        task exceeded the wall-clock budget gets its connection closed —
-        the pump posts the sentinel and ``_serve_conn`` charges the task
-        with the blame recorded here.
+        A worker whose keepalive went silent (SIGSTOP'd, wedged,
+        network-dead) or whose task exceeded the wall-clock budget gets
+        its connection closed — the pump posts the sentinel,
+        ``_serve_conn`` charges the task with the blame recorded here, and
+        a forked worker is then SIGKILLed and replaced by ``_handle``.
         """
         while True:
             await asyncio.sleep(_WATCH_S)
@@ -746,6 +899,7 @@ class _Coordinator:
     def _on_signal(self, signum: int) -> None:
         if self.interrupted is None:
             self.interrupted = signal.Signals(signum).name
+        self._notify()
 
     def _remove_signals(self, loop: asyncio.AbstractEventLoop) -> None:
         for signum, previous in self._old_signals.items():

@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="quarantine a sweep task after it kills the worker pool K "
+        help="quarantine a sweep task after it kills a sweep worker K "
         "times instead of burning the retry budget on it",
     )
     run_p.add_argument(
@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=30.0,
         metavar="SECONDS",
-        help="declare a sweep worker hung when its heartbeat goes stale "
+        help="declare a sweep worker hung when its keepalive goes stale "
         "for this long (default: 30)",
     )
     run_p.add_argument(
@@ -174,8 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--scheduler",
         default="local",
         choices=("local", "remote"),
-        help="sweep execution placement: 'local' (in-process / supervised "
-        "pool, the default) or 'remote' (TCP coordinator feeding "
+        help="sweep execution placement: 'local' (in-process, or with "
+        "--jobs N the sweep coordinator on loopback with N forked workers; "
+        "the default) or 'remote' (the TCP coordinator feeding "
         "repro-worker processes)",
     )
     run_p.add_argument(

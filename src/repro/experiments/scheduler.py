@@ -4,21 +4,21 @@
 order, journaling, resume, result assembly.  A :class:`SweepScheduler`
 owns *where* the remaining tasks execute:
 
-* :class:`LocalScheduler` — the default; wraps the existing in-process
-  serial path and the supervised ``ProcessPoolExecutor`` path unchanged
-  (``run_sweep(jobs=N)`` without an explicit scheduler is bit-for-bit the
-  pre-seam behavior);
-* :class:`~repro.experiments.remote.RemoteScheduler` — an asyncio TCP
-  coordinator feeding ``repro-worker`` processes on any number of hosts,
-  with the content-addressed artifact cache as the data plane.
+* :class:`LocalScheduler` — the default; runs in-process for
+  ``jobs <= 1``, and otherwise runs the sweep coordinator on loopback
+  with ``jobs`` workers forked from this process and the graphs in
+  shared memory;
+* :class:`~repro.experiments.remote.RemoteScheduler` — the same asyncio
+  TCP coordinator feeding ``repro-worker`` processes on any number of
+  hosts, with the content-addressed artifact cache as the data plane.
 
-Both implementations share the hardened failure machinery through the
+Every parallel sweep therefore runs on one supervisor, driven by the
 same :class:`SweepOptions`: per-task retries with capped exponential
 backoff (:class:`repro.utils.backoff.BackoffPolicy`), per-task timeouts,
-heartbeat/keepalive supervision with blame attribution, poison-task
-quarantine, and fail-fast vs ``keep_going`` semantics.  The journal
-records outcomes identically under either scheduler, so a sweep killed
-under one can resume under the other.
+keepalive supervision with blame attribution, poison-task quarantine,
+and fail-fast vs ``keep_going`` semantics.  The journal records outcomes
+identically under either scheduler, so a sweep killed under one can
+resume under the other.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ class SweepOptions:
 
     ``jobs`` is the local worker-process count (the remote scheduler's
     parallelism is its connected worker count instead).  ``backoff``
-    paces retry rounds for both schedulers; ``heartbeat_timeout_s`` is
-    the staleness bound for local heartbeat slots *and* remote
-    connection keepalives — one supervision policy, two transports.
+    paces task retries; ``heartbeat_timeout_s`` is the staleness bound
+    for worker keepalives, forked or remote.
     """
 
     jobs: int = 1
@@ -82,13 +81,14 @@ class SweepScheduler(ABC):
 
 
 class LocalScheduler(SweepScheduler):
-    """Single-host execution: in-process or supervised process pool.
+    """Single-host execution: in-process, or forked loopback workers.
 
-    This is a thin wrapper moving the pre-existing ``run_sweep`` body
-    behind the seam — graph loading, shared-memory publication, the
-    supervised pool with heartbeats/blame/quarantine, and the serial
-    path are the same code as before, so outcomes are bit-identical to
-    the historical behavior by construction.
+    Each distinct graph is loaded once, in task order.  ``jobs <= 1``
+    runs the tasks in this process; otherwise the graphs are published
+    to shared memory and the sweep coordinator serves ``jobs`` workers
+    forked from this process (:func:`repro.experiments.remote.
+    run_forked`).  Both run the same task function, so outcomes are
+    bit-identical.
     """
 
     name = "local"
@@ -129,18 +129,10 @@ class LocalScheduler(SweepScheduler):
                 collect_spans=opts.collect_spans,
             )
         else:
-            _sweep._run_supervised(
-                todo,
-                graphs,
-                results,
-                session,
-                chaos,
-                jobs=jobs,
-                timeout=opts.timeout,
-                retries=opts.retries,
-                backoff=opts.backoff,
-                keep_going=opts.keep_going,
-                collect_spans=opts.collect_spans,
-                poison_threshold=opts.poison_threshold,
-                heartbeat_timeout_s=opts.heartbeat_timeout_s,
+            # Imported here so a serial sweep never loads asyncio.
+            from repro.experiments.remote import run_forked
+
+            run_forked(
+                todo, graphs, results, session, chaos, opts,
+                workers=min(jobs, len(todo)),
             )

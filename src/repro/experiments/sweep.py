@@ -17,34 +17,29 @@ architectures are accounted.
 
 ``run_sweep(tasks, jobs=1)`` with ``jobs <= 1`` executes the identical task
 function in-process; the parallel path must produce bit-identical outcomes
-(the tests assert it).
+(the tests assert it).  With ``jobs > 1`` the sweep runs on the one sweep
+coordinator (:mod:`repro.experiments.remote`) bound to loopback, with
+``jobs`` workers forked from this process — the same code, retries,
+supervision and journal records as a sweep spread over many hosts.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import secrets
-import signal
-import threading
-import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
-from concurrent.futures import wait as futures_wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from multiprocessing import get_context
+from dataclasses import asdict, dataclass, replace
 from multiprocessing import shared_memory
 from typing import (
     TYPE_CHECKING,
+    Any,
     Dict,
     Iterator,
     List,
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -53,11 +48,10 @@ if TYPE_CHECKING:  # pragma: no cover — annotation only, avoids an import cycl
 
 import numpy as np
 
-from repro import chaos as chaos_mod
 from repro.arch.disaggregated import DisaggregatedSimulator
 from repro.arch.disaggregated_ndp import DisaggregatedNDPSimulator
 from repro.arch.trace import record_trace
-from repro.errors import ExperimentError, SweepInterrupted
+from repro.errors import ExperimentError
 from repro.experiments.common import DEFAULT_SEED, DEFAULT_TIER, ExperimentResult
 from repro.experiments.fig7 import PANELS
 from repro.experiments.journal import (
@@ -125,6 +119,23 @@ class SharedGraphSpec:
         if self.weights is not None:
             names.append(self.weights.name)
         return tuple(names)
+
+    def to_json(self) -> Dict[str, Any]:
+        """The descriptor as a JSON object (it travels in task messages)."""
+        return asdict(self)
+
+    @classmethod
+    def from_json(cls, data: Mapping[str, Any]) -> "SharedGraphSpec":
+        def array(field: Optional[Mapping[str, Any]]) -> Optional[_ArraySpec]:
+            if field is None:
+                return None
+            return _ArraySpec(
+                str(field["name"]), tuple(field["shape"]), str(field["dtype"])
+            )
+
+        return cls(
+            array(data["indptr"]), array(data["indices"]), array(data.get("weights"))
+        )
 
 
 def _publish_array(arr: np.ndarray, name: str) -> Tuple[_ArraySpec, shared_memory.SharedMemory]:
@@ -275,8 +286,8 @@ class SweepOutcome:
     #: failure description when the task exhausted its retries under
     #: ``keep_going`` (every measurement field is then zero/empty)
     error: Optional[str] = None
-    #: the task was quarantined as a poison task: it killed the worker
-    #: pool ``poison_threshold`` times, so the sweep set it aside (with
+    #: the task was quarantined as a poison task: it killed a worker
+    #: ``poison_threshold`` times, so the sweep set it aside (with
     #: this diagnostic outcome) instead of burning retries on it
     quarantined: bool = False
     #: serialized span batch (``Tracer.to_batch()``) recorded inside the
@@ -416,160 +427,19 @@ def _failed_outcome(
 _ATTACHED: Dict[Tuple[str, ...], Tuple[CSRGraph, List[shared_memory.SharedMemory]]] = {}
 
 
-# --------------------------------------------------------------------------- #
-# Worker supervision: heartbeats + liveness
-# --------------------------------------------------------------------------- #
-
-#: Per-worker slot layout in the shared heartbeat array:
-#: [last_beat_ts, busy_task_index + 1 (0 = idle), task_start_ts, pid]
-_HB_FIELDS = 4
-
-#: Parent-side supervision poll cadence (also bounds signal latency).
-_POLL_S = 0.1
-
-#: Worker-side slot handle, set by :func:`_worker_init` (fork pools only).
-_HB_SLOT: Optional[Tuple[object, int]] = None
-
-
-def _worker_init(array, counter, interval: float) -> None:
-    """Claim a heartbeat slot and start the beat thread (runs in workers)."""
-    global _HB_SLOT
-    with counter.get_lock():
-        slot = counter.value
-        counter.value += 1
-    slots = len(array) // _HB_FIELDS
-    base = (slot % slots) * _HB_FIELDS
-    now = time.time()
-    array[base] = now
-    array[base + 1] = 0.0
-    array[base + 2] = 0.0
-    array[base + 3] = float(os.getpid())
-    _HB_SLOT = (array, base)
-    beat = threading.Thread(
-        target=_heartbeat_loop, args=(array, base, interval), daemon=True
-    )
-    beat.start()
-
-
-def _heartbeat_loop(array, base: int, interval: float) -> None:
-    # A frozen process (SIGSTOP, unkillable D-state) stops this thread with
-    # it — which is exactly the signal the parent's supervisor watches for.
-    while True:
-        array[base] = time.time()
-        time.sleep(interval)
-
-
-def _mark_busy(task_index: int) -> None:
-    if _HB_SLOT is None:
-        return
-    array, base = _HB_SLOT
-    now = time.time()
-    array[base + 2] = now
-    array[base + 1] = float(task_index + 1)
-    array[base] = now
-
-
-def _mark_idle() -> None:
-    if _HB_SLOT is None:
-        return
-    array, base = _HB_SLOT
-    array[base + 1] = 0.0
-    array[base + 2] = 0.0
-    array[base] = time.time()
-
-
-class _Heartbeats:
-    """Parent-side view of one pool round's shared heartbeat slots."""
-
-    def __init__(self, mp_ctx, slots: int, *, heartbeat_timeout_s: float) -> None:
-        self.slots = slots
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.interval = min(0.25, heartbeat_timeout_s / 5.0)
-        self.array = mp_ctx.Array("d", slots * _HB_FIELDS, lock=False)
-        self.counter = mp_ctx.Value("i", 0)
-
-    def initargs(self) -> Tuple:
-        return (self.array, self.counter, self.interval)
-
-    def _slot(self, slot: int) -> Tuple[float, Optional[int], float, int]:
-        base = slot * _HB_FIELDS
-        busy_raw = self.array[base + 1]
-        busy = int(busy_raw) - 1 if busy_raw >= 1.0 else None
-        return (
-            self.array[base],
-            busy,
-            self.array[base + 2],
-            int(self.array[base + 3]),
-        )
-
-    def busy_tasks_for_pids(
-        self, pids: Set[int], remaining: Set[int]
-    ) -> Set[int]:
-        """Task indices that were running on the given (dead) workers."""
-        charged: Set[int] = set()
-        for slot in range(self.slots):
-            _beat, busy, _start, pid = self._slot(slot)
-            if pid and pid in pids and busy is not None and busy in remaining:
-                charged.add(busy)
-        return charged
-
-    def check(
-        self, *, remaining: Set[int], timeout: Optional[float]
-    ) -> Optional[Tuple[Dict[int, str], str]]:
-        """Detect a hung worker or an over-budget task.
-
-        Returns ``(charged, kind)`` on detection: ``charged`` maps the
-        task indices to blame onto failure messages (possibly empty when
-        an *idle* worker stalled), ``kind`` is ``"timeout"`` or
-        ``"hang"``.  ``None`` means all clear.
-        """
-        now = time.time()
-        for slot in range(self.slots):
-            beat, busy, start, pid = self._slot(slot)
-            if pid == 0:  # slot never claimed (pool smaller than jobs)
-                continue
-            if (
-                timeout is not None
-                and busy is not None
-                and busy in remaining
-                and start > 0
-                and now - start > timeout
-            ):
-                return {busy: f"timed out after {timeout:g}s"}, "timeout"
-            stale = now - beat
-            if stale > self.heartbeat_timeout_s:
-                charged: Dict[int, str] = {}
-                if busy is not None and busy in remaining:
-                    charged[busy] = (
-                        f"worker hung: heartbeat stale for {stale:.1f}s"
-                    )
-                return charged, "hang"
-        return None
-
-
 def _worker_execute(
     task: SweepTask,
     spec: SharedGraphSpec,
     graph_name: str,
     *,
-    task_index: int = 0,
-    chaos: Optional[str] = None,
     collect_spans: bool = False,
 ) -> SweepOutcome:
-    _mark_busy(task_index)
-    try:
-        if chaos is not None:
-            # Injected process-level fault: die (or freeze) the way a real
-            # worker does — OOM-killed, segfaulted, wedged.  No exception,
-            # no cleanup; the supervisor has to notice on its own.
-            chaos_mod.apply_in_worker(chaos)
-        key = spec.segment_names
-        if key not in _ATTACHED:
-            _ATTACHED[key] = attach_shared_graph(spec)
-        graph, _segments = _ATTACHED[key]
-        return _execute_task(task, graph, graph_name, collect_spans=collect_spans)
-    finally:
-        _mark_idle()
+    """One task in a forked sweep worker, on a shared-memory graph."""
+    key = spec.segment_names
+    if key not in _ATTACHED:
+        _ATTACHED[key] = attach_shared_graph(spec)
+    graph, _segments = _ATTACHED[key]
+    return _execute_task(task, graph, graph_name, collect_spans=collect_spans)
 
 
 # --------------------------------------------------------------------------- #
@@ -581,7 +451,7 @@ def fig7_sweep_tasks(
     *, tier: str = DEFAULT_TIER, seed: int = DEFAULT_SEED
 ) -> List[SweepTask]:
     """The Fig. 7 panels, plus the remaining kernels on LiveJournal —
-    enough workloads that the fan-out is worth its process pool."""
+    enough workloads that the fan-out is worth its worker processes."""
     tasks = [
         SweepTask(p.dataset, p.kernel, p.partitions, tier, seed, p.max_iterations)
         for p in PANELS
@@ -598,7 +468,7 @@ def published_graphs(
     """Publish every graph to shared memory for the body's duration.
 
     The segments are closed *and unlinked* on every exit path — normal
-    return, task failure, pool breakage, KeyboardInterrupt — so a crashed
+    return, task failure, worker crashes, KeyboardInterrupt — so a crashed
     sweep never leaves orphaned ``/dev/shm`` residue behind (the regression
     test kills a worker mid-sweep and asserts exactly this).
     """
@@ -617,15 +487,6 @@ def published_graphs(
                 shm.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
-
-
-def _kill_workers(procs: Sequence) -> None:
-    """SIGKILL worker processes (SIGTERM never reaches a SIGSTOP'd one)."""
-    for proc in procs:
-        try:
-            proc.kill()
-        except Exception:  # pragma: no cover - already dead
-            pass
 
 
 def _merged_chaos(
@@ -735,28 +596,31 @@ def run_sweep(
     """Run every task and return outcomes in task order.
 
     Execution placement is delegated to a :class:`SweepScheduler`; the
-    default :class:`LocalScheduler` preserves the historical behavior
-    described below, and :class:`repro.experiments.remote.RemoteScheduler`
-    fans the same tasks out to ``repro-worker`` processes over TCP with
-    identical journal, retry, and quarantine semantics.
+    default :class:`LocalScheduler` runs on this host as described below,
+    and :class:`repro.experiments.remote.RemoteScheduler` fans the same
+    tasks out to ``repro-worker`` processes over TCP through the same
+    coordinator, with identical journal, retry, and quarantine semantics.
 
     ``jobs <= 1`` runs in-process.  Otherwise each distinct ``(dataset,
-    tier, seed)`` graph is loaded once, published to shared memory, and the
-    tasks fan out over a supervised ``ProcessPoolExecutor``: every worker
-    carries a heartbeat thread writing into a shared slot, and the parent
-    polls liveness, heartbeat freshness, and per-task wall clocks instead
-    of blocking on futures — so a *hung* worker (frozen, not crashed) is
-    detected within ``heartbeat_timeout_s`` and its task rescheduled.
+    tier, seed)`` graph is loaded once and published to shared memory, and
+    the sweep coordinator serves the tasks over loopback to ``jobs``
+    workers forked from this process; each task message carries the
+    graph's shared-memory descriptor.  Workers send keepalives, and the
+    coordinator watches them and the per-task wall clocks, so a *hung*
+    worker (frozen, not crashed) is detected within
+    ``heartbeat_timeout_s``, SIGKILLed, replaced, and its task
+    rescheduled.
 
-    Crashed workers (``BrokenProcessPool`` / dead pids), stale heartbeats,
-    and per-task ``timeout`` expiries are retried up to ``retries`` times
-    with exponential backoff (``backoff_s * 2**round``, capped at
-    ``backoff_cap_s`` and interruptible by SIGINT/SIGTERM); deterministic
-    in-task exceptions are not retried.  With ``keep_going`` a task that
-    exhausts its retries becomes a placeholder outcome carrying ``error``
-    (the rest of the sweep completes); the default fail-fast mode raises
-    ``ExperimentError``.  With ``poison_threshold=K`` a task that kills
-    the pool K times is *quarantined* — recorded as a diagnostic outcome
+    Crashed workers (lost connections), stale keepalives, and per-task
+    ``timeout`` expiries are retried up to ``retries`` times with
+    exponential backoff (``backoff_s * 2**attempt``, capped at
+    ``backoff_cap_s``); SIGINT/SIGTERM stop the sweep promptly.
+    Deterministic in-task exceptions are not retried.  With
+    ``keep_going`` a task that exhausts its retries becomes a placeholder
+    outcome carrying ``error`` (the rest of the sweep completes); the
+    default fail-fast mode raises ``ExperimentError``.  With
+    ``poison_threshold=K`` a task that kills a worker K times is
+    *quarantined* — recorded as a diagnostic outcome
     (``quarantined=True``) and set aside — instead of burning the whole
     retry budget or taking down the sweep.
 
@@ -843,302 +707,6 @@ def _run_serial(
             if not keep_going:
                 raise
             results[idx] = failed
-
-
-def _run_supervised(
-    todo: Sequence[Tuple[int, SweepTask]],
-    graphs: Mapping[Tuple[str, str, int], Tuple[CSRGraph, str]],
-    results: Dict[int, SweepOutcome],
-    session: _JournalSession,
-    chaos: ChaosPlan,
-    *,
-    jobs: int,
-    timeout: Optional[float],
-    retries: int,
-    backoff: BackoffPolicy,
-    keep_going: bool,
-    collect_spans: bool,
-    poison_threshold: Optional[int],
-    heartbeat_timeout_s: float,
-) -> None:
-    """The parallel path: supervised pool rounds over shared-memory CSRs."""
-    # fork keeps worker start cheap on Linux; the spec-based attach works
-    # under spawn too, so fall back silently elsewhere.
-    try:
-        mp_ctx = get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        mp_ctx = get_context()
-    # Heartbeat arrays cross into workers by fork inheritance; under spawn
-    # they cannot, so supervision degrades to a per-round wall clock.
-    supervise = mp_ctx.get_start_method() == "fork"
-
-    stop = threading.Event()
-    stop_reason: List[str] = []
-
-    def _on_signal(signum, _frame) -> None:
-        stop_reason.append(signal.Signals(signum).name)
-        stop.set()
-
-    old_handlers = {}
-    if threading.current_thread() is threading.main_thread():
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            old_handlers[signum] = signal.signal(signum, _on_signal)
-
-    def _abort(procs: Sequence) -> None:
-        """Graceful shutdown: kill workers, flush the journal, bail out."""
-        _kill_workers(procs)
-        reason = stop_reason[0] if stop_reason else "signal"
-        session.interrupt(reason)
-        raise SweepInterrupted(
-            f"sweep interrupted by {reason}: journal flushed, workers "
-            f"killed, shared memory unlinked; restart with resume to "
-            f"continue from the last completed task"
-        )
-
-    tracer = get_tracer()
-    # Per-task count of pool-killing attempts (crash/hang/timeout) — the
-    # quarantine signal.  Collateral damage is never counted here.
-    pool_kills: Dict[int, int] = {}
-    try:
-        with published_graphs(graphs) as specs:
-            pending: List[Tuple[int, SweepTask, int]] = [
-                (idx, task, 0) for idx, task in todo
-            ]
-            round_no = 0
-            while pending:
-                if stop.is_set():
-                    _abort(())
-                hb = (
-                    _Heartbeats(
-                        mp_ctx, jobs, heartbeat_timeout_s=heartbeat_timeout_s
-                    )
-                    if supervise
-                    else None
-                )
-                pool = ProcessPoolExecutor(
-                    max_workers=jobs,
-                    mp_context=mp_ctx,
-                    initializer=_worker_init if hb is not None else None,
-                    initargs=hb.initargs() if hb is not None else (),
-                )
-                broken = False
-                break_kind = ""
-                charged: Dict[int, str] = {}
-                crash_detail = ""
-                failed: List[Tuple[int, SweepTask, int, str]] = []
-                fatal: List[Tuple[int, SweepTask, int, str]] = []
-                round_start = time.time()
-                try:
-                    fut_map: Dict[object, Tuple[int, SweepTask, int]] = {}
-                    for idx, task, tries in pending:
-                        session.start(idx, tries + 1)
-                        future = pool.submit(
-                            _worker_execute,
-                            task,
-                            *specs[task.graph_key],
-                            task_index=idx,
-                            chaos=chaos.take(task.label),
-                            collect_spans=collect_spans,
-                        )
-                        fut_map[future] = (idx, task, tries)
-                    procs = list(getattr(pool, "_processes", {}).values())
-
-                    while fut_map and not broken:
-                        done, _ = futures_wait(
-                            set(fut_map),
-                            timeout=_POLL_S,
-                            return_when=FIRST_COMPLETED,
-                        )
-                        for future in sorted(
-                            done, key=lambda f: fut_map[f][0]
-                        ):
-                            idx, task, tries = fut_map.pop(future)
-                            try:
-                                outcome = replace(
-                                    future.result(), attempts=tries + 1
-                                )
-                                results[idx] = outcome
-                                session.outcome(idx, "ok", outcome)
-                            except BrokenProcessPool as exc:
-                                # Put the future back: the post-break pass
-                                # below owns rescheduling it.
-                                fut_map[future] = (idx, task, tries)
-                                broken = True
-                                break_kind = break_kind or "crash"
-                                crash_detail = (
-                                    crash_detail or f"worker crashed: {exc}"
-                                )
-                                if not charged:
-                                    charged[idx] = crash_detail
-                            except Exception as exc:
-                                fatal.append(
-                                    (
-                                        idx,
-                                        task,
-                                        tries,
-                                        f"{type(exc).__name__}: {exc}",
-                                    )
-                                )
-                        if broken or not fut_map:
-                            break
-                        if stop.is_set():
-                            _abort(procs)
-                        remaining = {idx for idx, _t, _n in fut_map.values()}
-                        # Liveness first: a dead pid pins the blame on the
-                        # exact task the dead worker was running, before
-                        # the executor tears the other workers down.
-                        dead = {
-                            proc.pid
-                            for proc in procs
-                            if not proc.is_alive()
-                        }
-                        if dead:
-                            broken = True
-                            break_kind = "crash"
-                            crash_detail = (
-                                "worker crashed: process "
-                                f"{sorted(dead)} died unexpectedly"
-                            )
-                            if hb is not None:
-                                charged = {
-                                    idx: crash_detail
-                                    for idx in hb.busy_tasks_for_pids(
-                                        dead, remaining
-                                    )
-                                }
-                            break
-                        if hb is not None:
-                            verdict = hb.check(
-                                remaining=remaining, timeout=timeout
-                            )
-                            if verdict is not None:
-                                charged, break_kind = verdict
-                                broken = True
-                                break
-                        elif (  # pragma: no cover - spawn-only fallback
-                            timeout is not None
-                            and time.time() - round_start > timeout
-                        ):
-                            charged = {
-                                idx: f"timed out after {timeout:g}s"
-                                for idx in remaining
-                            }
-                            break_kind = "timeout"
-                            broken = True
-                            break
-
-                    if broken:
-                        METRICS.counter(M.SWEEP_POOL_BREAKS).inc()
-                        if break_kind in ("hang", "timeout"):
-                            METRICS.counter(M.SWEEP_HUNG_WORKERS).inc()
-                            if tracer.enabled:
-                                tracer.event(
-                                    "worker-hung",
-                                    kind=break_kind,
-                                    charged=sorted(charged),
-                                )
-                        _kill_workers(procs)
-                        if not charged and crash_detail:
-                            # No heartbeat attribution: blame the first
-                            # future the breakage surfaced on.
-                            first = min(
-                                (idx for idx, _t, _n in fut_map.values()),
-                                default=None,
-                            )
-                            if first is not None:
-                                charged[first] = crash_detail
-                        for future, (idx, task, tries) in sorted(
-                            fut_map.items(), key=lambda kv: kv[1][0]
-                        ):
-                            if future.done():
-                                try:  # finished before the pool died
-                                    outcome = replace(
-                                        future.result(), attempts=tries + 1
-                                    )
-                                    results[idx] = outcome
-                                    session.outcome(idx, "ok", outcome)
-                                    continue
-                                except Exception:
-                                    pass
-                            if idx in charged:
-                                pool_kills[idx] = pool_kills.get(idx, 0) + 1
-                                failed.append(
-                                    (idx, task, tries + 1, charged[idx])
-                                )
-                            else:
-                                # Collateral damage: costs no attempt.
-                                failed.append(
-                                    (
-                                        idx,
-                                        task,
-                                        tries,
-                                        "worker pool broke before this task",
-                                    )
-                                )
-                finally:
-                    pool.shutdown(wait=True, cancel_futures=True)
-
-                for idx, task, tries, error in fatal:
-                    failed_out = _failed_outcome(
-                        task, specs[task.graph_key][1], error, tries + 1
-                    )
-                    session.outcome(idx, "failed", failed_out)
-                    if not keep_going:
-                        raise ExperimentError(
-                            f"sweep task {task.label} failed: {error}"
-                        )
-                    results[idx] = failed_out
-                still_pending: List[Tuple[int, SweepTask, int]] = []
-                for idx, task, tries, error in failed:
-                    if (
-                        poison_threshold is not None
-                        and pool_kills.get(idx, 0) >= poison_threshold
-                    ):
-                        quarantined = _failed_outcome(
-                            task,
-                            specs[task.graph_key][1],
-                            f"quarantined after killing the worker pool "
-                            f"{pool_kills[idx]} times: {error}",
-                            tries,
-                            quarantined=True,
-                        )
-                        results[idx] = quarantined
-                        session.outcome(idx, "quarantined", quarantined)
-                        METRICS.counter(M.SWEEP_QUARANTINED).inc()
-                        if tracer.enabled:
-                            tracer.event(
-                                "task-quarantined",
-                                label=task.label,
-                                pool_kills=pool_kills[idx],
-                            )
-                        continue
-                    if tries <= retries:
-                        still_pending.append((idx, task, tries))
-                        continue
-                    exhausted = _failed_outcome(
-                        task,
-                        specs[task.graph_key][1],
-                        f"{error} (after {tries} attempts)",
-                        tries,
-                    )
-                    session.outcome(idx, "failed", exhausted)
-                    if not keep_going:
-                        raise ExperimentError(
-                            f"sweep task {task.label} failed after {tries} "
-                            f"attempts: {error}"
-                        )
-                    results[idx] = exhausted
-                pending = still_pending
-                if pending:
-                    # Interruptible, capped backoff: Ctrl-C during the wait
-                    # exits promptly instead of sleeping out 2**round.
-                    delay = backoff.delay(round_no)
-                    if stop.wait(delay):
-                        _abort(())
-                    round_no += 1
-    finally:
-        for signum, handler in old_handlers.items():
-            signal.signal(signum, handler)
 
 
 def _dry_run_result(tasks: Sequence[SweepTask], *, jobs: int) -> ExperimentResult:

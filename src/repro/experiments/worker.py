@@ -1,19 +1,26 @@
-"""``repro-worker`` — pull-mode sweep worker for the remote scheduler.
+"""``repro-worker`` — pull-mode sweep worker for the sweep coordinator.
 
 One worker = one TCP connection to a sweep coordinator
-(:class:`repro.experiments.remote.RemoteScheduler`).  The loop is
-deliberately dumb — authenticate, then pull:
+(:mod:`repro.experiments.remote`).  The same serve loop runs as the
+``repro-worker`` command on any host and, forked, as each of the
+``run_sweep(jobs=N)`` workers.  It is deliberately dumb — connect,
+authenticate, then pull:
 
+0. A refused connection is retried with capped exponential backoff
+   until ``--connect-timeout`` runs out, so a worker may start before
+   its coordinator listens.
 1. ``hello`` with the shared token; a ``reject`` exits 2.
-2. For each ``task`` message: materialize the graph *by content digest*
-   from the local artifact cache; on a miss, fetch the ``.npz`` bytes
-   over the connection and install them through
+2. For each ``task`` message, get the graph from the descriptor it
+   carries.  A ``shm`` descriptor (forked workers) is attached zero-copy
+   by :func:`repro.experiments.sweep._worker_execute`.  An ``artifact``
+   digest is materialized from the local artifact cache; on a miss the
+   ``.npz`` bytes are fetched over the connection and installed through
    :meth:`ArtifactCache.import_bytes` (validated, atomic) so the next
    sweep on this host starts warm.  With no local cache the payload is
    decoded in memory.
 3. Execute the task with the *same* ``_execute_task`` function the
-   single-host paths use — outcomes (and their ``ledger_sha256``) can
-   only differ from a local run if the inputs differ.
+   serial path uses — outcomes (and their ``ledger_sha256``) can only
+   differ from a serial run if the inputs differ.
 4. Report ``result`` and pull again.  A background thread sends ``ping``
    keepalives at the cadence the coordinator's ``welcome`` dictated.
 
@@ -36,6 +43,7 @@ import os
 import socket
 import sys
 import threading
+import time
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,6 +58,7 @@ from repro.experiments.remote import (
     default_worker_name,
     encode_msg,
 )
+from repro.utils.backoff import BackoffPolicy
 
 _META_FIELD = "__meta__"
 
@@ -94,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=10.0,
         metavar="S",
-        help="TCP connect timeout in seconds (default: 10)",
+        help="seconds to keep retrying a refused connection (default: 10)",
     )
     return parser
 
@@ -139,8 +148,6 @@ class _Connection:
             # Dies with the connection; a SIGSTOP'd worker stops beating,
             # which is exactly what the coordinator's watchdog watches.
             while True:
-                import time
-
                 time.sleep(max(interval_s, 0.05))
                 try:
                     self.send({"t": "ping"})
@@ -219,8 +226,27 @@ class _GraphStore:
             # anything else is a stray; keep waiting for our payload
 
 
+def _connect(host: str, port: int, timeout_s: float) -> socket.socket:
+    """Connect, retrying refused connections until ``timeout_s`` is spent."""
+    deadline = time.monotonic() + timeout_s
+    backoff = BackoffPolicy(base_s=0.05, cap_s=1.0)
+    attempt = 0
+    while True:
+        left = deadline - time.monotonic()
+        try:
+            return socket.create_connection((host, port), timeout=max(left, 0.05))
+        except ConnectionRefusedError:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise
+            time.sleep(min(backoff.delay(attempt), left))
+            attempt += 1
+
+
 def _serve(conn: _Connection, cache: Optional[ArtifactCache]) -> int:
-    from repro.experiments.sweep import _execute_task
+    # The module, not its functions: a hook installed on
+    # ``sweep._worker_execute`` (perfbench --trace) must see every call.
+    from repro.experiments import sweep
 
     store = _GraphStore(conn, cache)
     while True:
@@ -233,18 +259,25 @@ def _serve(conn: _Connection, cache: Optional[ArtifactCache]) -> int:
             continue
         idx = int(msg.get("idx", -1))
         task = task_from_json(msg["task"])
-        if msg.get("chaos"):
-            # Injected process-level fault: die (or freeze) exactly like
-            # a real remote worker would — no report, no cleanup.
-            chaos_mod.apply_in_worker(str(msg["chaos"]))
+        graph_name = str(msg.get("graph_name", task.dataset))
+        collect_spans = bool(msg.get("collect_spans", False))
         try:
-            graph = store.materialize(task, msg.get("artifact"))
-            outcome = _execute_task(
-                task,
-                graph,
-                str(msg.get("graph_name", task.dataset)),
-                collect_spans=bool(msg.get("collect_spans", False)),
-            )
+            if msg.get("chaos"):
+                # Injected process-level fault: die (or freeze) exactly like
+                # a real worker would — no report, no cleanup.
+                chaos_mod.apply_in_worker(str(msg["chaos"]))
+            if msg.get("shm") is not None:
+                outcome = sweep._worker_execute(
+                    task,
+                    sweep.SharedGraphSpec.from_json(msg["shm"]),
+                    graph_name,
+                    collect_spans=collect_spans,
+                )
+            else:
+                graph = store.materialize(task, msg.get("artifact"))
+                outcome = sweep._execute_task(
+                    task, graph, graph_name, collect_spans=collect_spans
+                )
         except SystemExit:
             raise
         except Exception as exc:
@@ -268,34 +301,27 @@ def _serve(conn: _Connection, cache: Optional[ArtifactCache]) -> int:
         )
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    token = args.token or os.environ.get(args.token_env, "")
-    if not token:
-        print(
-            f"no worker token: pass --token or set ${args.token_env}",
-            file=sys.stderr,
-        )
-        return 2
+def serve(
+    host: str,
+    port: int,
+    *,
+    token: str,
+    name: str,
+    cache: Optional[ArtifactCache],
+    connect_timeout: float = 10.0,
+) -> int:
+    """Connect, authenticate and execute tasks until the coordinator says
+    stop; returns the exit code (see the module docstring)."""
     try:
-        host, port = _parse_endpoint(args.coordinator)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    cache: Optional[ArtifactCache]
-    if args.cache_dir is not None:
-        cache = ArtifactCache(args.cache_dir)
-    else:
-        cache = get_cache()
-    name = args.name or default_worker_name()
-    try:
-        sock = socket.create_connection(
-            (host, port), timeout=args.connect_timeout
-        )
+        sock = _connect(host, port, connect_timeout)
     except OSError as exc:
         print(f"cannot reach coordinator {host}:{port}: {exc}", file=sys.stderr)
         return 4
     sock.settimeout(None)
+    # Results are small writes that can queue behind an unacknowledged
+    # keepalive; without this, Nagle's algorithm and the coordinator's
+    # delayed ACK stall them for up to 40 ms.
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     conn = _Connection(sock)
     try:
         conn.send(
@@ -332,6 +358,35 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sock.close()
         except OSError:  # pragma: no cover - already closed
             pass
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    token = args.token or os.environ.get(args.token_env, "")
+    if not token:
+        print(
+            f"no worker token: pass --token or set ${args.token_env}",
+            file=sys.stderr,
+        )
+        return 2
+    try:
+        host, port = _parse_endpoint(args.coordinator)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    cache: Optional[ArtifactCache]
+    if args.cache_dir is not None:
+        cache = ArtifactCache(args.cache_dir)
+    else:
+        cache = get_cache()
+    return serve(
+        host,
+        port,
+        token=token,
+        name=args.name or default_worker_name(),
+        cache=cache,
+        connect_timeout=args.connect_timeout,
+    )
 
 
 if __name__ == "__main__":

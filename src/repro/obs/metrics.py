@@ -446,17 +446,13 @@ class M:
         "sweep.tasks-resumed",
         description="tasks skipped on resume (journaled outcome reused)",
     )
-    SWEEP_POOL_BREAKS = METRICS.declare(
-        "sweep.pool-breaks",
-        description="worker-pool breakages (crashes, hangs, timeouts)",
-    )
     SWEEP_HUNG_WORKERS = METRICS.declare(
         "sweep.hung-workers",
-        description="workers killed for stale heartbeats or task timeouts",
+        description="workers killed for stale keepalives or task timeouts",
     )
     SWEEP_QUARANTINED = METRICS.declare(
         "sweep.quarantined-tasks",
-        description="poison tasks quarantined after repeated pool kills",
+        description="poison tasks quarantined after repeatedly killing workers",
     )
 
     # Distributed sweep (remote scheduler + workers).

@@ -47,6 +47,9 @@ class PartitionAssignment:
                 f"part ids must lie in [0, {num_parts}), saw "
                 f"[{parts.min()}, {parts.max()}]"
             )
+        # Assignments are shared by reference (dataset memo, serve pool,
+        # uid-keyed caches): freeze the array, as CSRGraph does.
+        parts.setflags(write=False)
         self.parts = parts
         self.num_parts = int(num_parts)
         #: Monotonically issued token (never reused, unlike ``id()``);

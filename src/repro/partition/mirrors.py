@@ -43,6 +43,11 @@ class MirrorTable:
     num_parts: int
     direction: str = "push"
 
+    def __post_init__(self) -> None:
+        # Shared by reference like the graph it mirrors: read-only arrays.
+        self.mirror_vertices.setflags(write=False)
+        self.mirror_parts.setflags(write=False)
+
     @property
     def num_mirrors(self) -> int:
         """Total mirror (vertex, part) pairs."""

@@ -9,8 +9,9 @@ facade's single source of truth:
   — the *same* code path ``repro.api.run`` and the ``repro-run`` CLI
   execute, so served results are bit-identical to offline ones;
 * ``sweep`` delegates to :func:`repro.experiments.sweep.run_sweep`, the
-  supervised multi-process sweep runner (heartbeats, retries, shared-memory
-  graph publication), with the requested ``jobs`` capped by the server.
+  sweep coordinator with forked loopback workers (keepalives, retries,
+  shared-memory graph publication), with the requested ``jobs`` capped by
+  the server.
 
 Threads suffice for parallelism here: the engine hot loops run in numpy
 (GIL released) and sweeps fork their own worker processes.

@@ -5,8 +5,7 @@ mirroring the facade's workflows:
 
 * ``run``     — one :class:`~repro.api.RunSpec` on one architecture;
 * ``compare`` — all four architectures on one workload (Table II row);
-* ``sweep``   — a list of sweep tasks executed through the supervised
-  sweep runner.
+* ``sweep``   — a list of sweep tasks executed through the sweep runner.
 
 Every request carries optional ``tenant`` (admission-control identity,
 default ``"default"``) and ``priority`` (0–9, higher first, default 5)

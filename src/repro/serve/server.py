@@ -591,6 +591,9 @@ class AnalyticsServer:
             "coalescer": self.coalescer.stats(),
             "pool": self.pool.stats(),
             "results": self.results.stats() if self.results else None,
+            # process-wide instruments, incl. the serve.request-seconds
+            # latency histogram recorded per analytics request
+            "metrics": METRICS.snapshot(),
         }
 
 

@@ -1,10 +1,9 @@
 """Shared retry/backoff policy: capped exponential delays with jitter.
 
-Three call sites grew their own copies of the same arithmetic — the
-supervised sweep's between-round sleep in ``experiments/sweep.py``, the
-remote scheduler's task-requeue delay, and the serving daemon's
-``Retry-After`` hint in ``serve/admission.py``.  This module is the one
-implementation they all share.
+The sweep coordinator's task-requeue delay (``experiments/remote.py``),
+``repro-worker``'s connect retry and the serving daemon's
+``Retry-After`` hint in ``serve/admission.py`` all use this one
+implementation.
 
 The core primitive is :func:`exponential_delay`: attempt ``k`` waits
 ``min(cap, base * 2**k)`` seconds, optionally spread by deterministic

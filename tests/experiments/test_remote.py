@@ -50,7 +50,7 @@ class _WorkerFleet:
         self.token = token
         self.procs: list = []
 
-    def spawn(self, host: str, port: int, count: int = 1, **overrides):
+    def spawn(self, host: str, port: int, count: int = 1, extra=(), **overrides):
         env = dict(os.environ)
         env["REPRO_SWEEP_TOKEN"] = self.token
         src = str(Path(__file__).resolve().parents[2] / "src")
@@ -69,6 +69,7 @@ class _WorkerFleet:
             ]
             if token_flag is not None:
                 cmd += ["--token", token_flag]
+            cmd += list(extra)
             self.procs.append(
                 subprocess.Popen(
                     cmd,
@@ -282,10 +283,31 @@ class TestWorkerExitCodes:
         # holding it keeps any other process off the port meanwhile.
         with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as closed:
             closed.bind(("127.0.0.1", 0))
-            fleet.spawn("127.0.0.1", closed.getsockname()[1])
+            fleet.spawn(
+                "127.0.0.1",
+                closed.getsockname()[1],
+                extra=["--connect-timeout", "1"],
+            )
             assert fleet.procs[0].wait(timeout=20) == 4
         out = fleet.procs[0].stdout.read().decode()
         assert "cannot reach coordinator" in out
+
+    def test_worker_retries_until_a_late_coordinator_listens(self, fleet):
+        # The port refuses connections for about 0.5 s (bound, not
+        # listening), then a real coordinator takes it over: the worker
+        # keeps retrying, serves the sweep and exits 0.
+        holder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        holder.bind(("127.0.0.1", 0))
+        port = holder.getsockname()[1]
+        fleet.spawn("127.0.0.1", port)
+        time.sleep(0.5)
+        holder.close()
+        sched = RemoteScheduler(
+            token=TOKEN, port=port, min_workers=1, worker_wait_s=20.0
+        )
+        outcomes = run_sweep(TASKS[:1], scheduler=sched)
+        assert all(o.ok for o in outcomes)
+        assert fleet.procs[0].wait(timeout=20) == 0
 
 
 class TestRemoteJournal:

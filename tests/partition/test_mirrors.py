@@ -51,6 +51,14 @@ class TestPushMirrors:
         table = build_mirror_table(tiny_rmat, a)
         assert table.num_mirrors == communication_volume(tiny_rmat, a)
 
+    def test_arrays_are_read_only(self, cross_graph):
+        g, a = cross_graph
+        table = build_mirror_table(g, a)
+        with pytest.raises(ValueError):
+            table.mirror_vertices[0] = 0
+        with pytest.raises(ValueError):
+            table.mirror_parts[0] = 1
+
     def test_dedup_multiple_edges(self):
         # Many edges from one part to one vertex -> one mirror.
         g = CSRGraph.from_edges([0, 1, 2], [3, 3, 3], 4)

@@ -61,6 +61,12 @@ class TestPartitionAssignment:
         with pytest.raises(PartitionError, match="covers"):
             a.edge_sizes(g)
 
+    def test_parts_are_read_only(self):
+        a = assign([0, 1, 1], 2)
+        with pytest.raises(ValueError):
+            a.parts[0] = 1
+        assert list(a.parts) == [0, 1, 1]
+
     def test_equality(self):
         assert assign([0, 1], 2) == assign([0, 1], 2)
         assert assign([0, 1], 2) != assign([1, 0], 2)

@@ -323,6 +323,21 @@ def test_healthz_stats_and_errors(run_payload):
         assert status == 405
 
 
+def test_stats_expose_request_latency_histogram(run_payload):
+    def request_count(port):
+        status, _h, body = http_get(port, "/v1/stats")
+        assert status == 200
+        metrics = json.loads(body)["metrics"]
+        return metrics.get("serve.request-seconds", {}).get("count", 0)
+
+    with ServerThread(ServeConfig(port=0)) as server:
+        # The registry is process-wide, so count from a baseline.
+        before = request_count(server.port)
+        for _ in range(2):
+            assert http_post(server.port, "/v1/run", run_payload)[0] == 200
+        assert request_count(server.port) == before + 2
+
+
 def test_oversized_body_rejected(run_payload):
     with ServerThread(ServeConfig(port=0, max_body_bytes=64)) as server:
         status, _h, body = http_post(server.port, "/v1/run", run_payload)
