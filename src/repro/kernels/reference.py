@@ -132,6 +132,20 @@ def scc(graph: CSRGraph) -> np.ndarray:
     return out
 
 
+def triangles(graph: CSRGraph) -> np.ndarray:
+    """Per-vertex triangle counts on the symmetrized simple graph.
+
+    The sparse triple product ``(A·A ∘ A)`` summed per row counts each
+    triangle at a vertex twice (both edge orders).
+    """
+    und = graph.symmetrized().without_self_loops()
+    if und.num_edges == 0:
+        return np.zeros(und.num_vertices, dtype=np.int64)
+    adj = _adjacency(und)
+    closed = (adj @ adj).multiply(adj)
+    return np.asarray(closed.sum(axis=1)).ravel().astype(np.int64) // 2
+
+
 def personalized_pagerank(
     graph: CSRGraph,
     source: int,

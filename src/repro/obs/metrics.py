@@ -85,10 +85,21 @@ class Gauge:
         self._value = 0.0
 
 
-class Histogram:
-    """Streaming summary (count/total/min/max) of observed values."""
+#: Histogram buckets per octave: bucket ``k`` holds ``[2**(k/4), 2**((k+1)/4))``,
+#: so a quantile read from its bucket is within 19% of the observed value.
+_BUCKETS_PER_OCTAVE = 4
 
-    __slots__ = ("spec", "count", "total", "min", "max")
+
+class Histogram:
+    """Streaming summary (count/total/min/max) plus log-spaced buckets.
+
+    Positive values land in bucket ``floor(4 * log2(v))``; zero and
+    negative values share one bucket below all of them.  The buckets
+    give :meth:`quantile` (p50/p99 in :meth:`as_dict`) without keeping
+    the observations.
+    """
+
+    __slots__ = ("spec", "count", "total", "min", "max", "_zeros", "_buckets")
 
     def __init__(self, spec: MetricSpec) -> None:
         self.spec = spec
@@ -100,16 +111,39 @@ class Histogram:
         self.total += value
         self.min = value if self.count == 1 else min(self.min, value)
         self.max = value if self.count == 1 else max(self.max, value)
+        if value > 0:
+            key = math.floor(_BUCKETS_PER_OCTAVE * math.log2(value))
+            self._buckets[key] = self._buckets.get(key, 0) + 1
+        else:
+            self._zeros += 1
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else math.nan
+
+    def quantile(self, q: float) -> float:
+        """Nearest-rank ``q``-quantile, read as its bucket's geometric
+        midpoint and clamped to ``[min, max]`` (NaN when empty)."""
+        if not self.count:
+            return math.nan
+        rank = min(self.count, max(1, math.ceil(q * self.count)))
+        value = 0.0
+        if rank > self._zeros:
+            seen = self._zeros
+            for key in sorted(self._buckets):
+                seen += self._buckets[key]
+                if seen >= rank:
+                    break
+            value = 2.0 ** ((key + 0.5) / _BUCKETS_PER_OCTAVE)
+        return min(max(value, self.min), self.max)
 
     def reset(self) -> None:
         self.count = 0
         self.total = 0.0
         self.min = math.nan
         self.max = math.nan
+        self._zeros = 0
+        self._buckets: Dict[int, int] = {}
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -118,6 +152,8 @@ class Histogram:
             "min": self.min,
             "max": self.max,
             "mean": self.mean,
+            "p50": self.quantile(0.5),
+            "p99": self.quantile(0.99),
         }
 
 

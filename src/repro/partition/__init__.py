@@ -15,7 +15,6 @@ from repro.partition.random_hash import HashPartitioner, RandomPartitioner
 from repro.partition.range_chunk import EdgeBalancedRangePartitioner, RangePartitioner
 from repro.partition.bfs_grow import BFSGrowPartitioner
 from repro.partition.metis import MetisPartitioner
-from repro.partition.spectral import SpectralPartitioner
 from repro.partition.streaming import LDGStreamingPartitioner
 from repro.partition.mirrors import MirrorTable, build_mirror_table, replication_factor
 from repro.partition.registry import get_partitioner, list_partitioners
@@ -35,7 +34,6 @@ __all__ = [
     "EdgeBalancedRangePartitioner",
     "BFSGrowPartitioner",
     "MetisPartitioner",
-    "SpectralPartitioner",
     "LDGStreamingPartitioner",
     "MirrorTable",
     "build_mirror_table",

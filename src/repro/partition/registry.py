@@ -10,7 +10,6 @@ from repro.partition.bfs_grow import BFSGrowPartitioner
 from repro.partition.metis import MetisPartitioner
 from repro.partition.random_hash import HashPartitioner, RandomPartitioner
 from repro.partition.range_chunk import EdgeBalancedRangePartitioner, RangePartitioner
-from repro.partition.spectral import SpectralPartitioner
 from repro.partition.streaming import LDGStreamingPartitioner
 
 _REGISTRY: Dict[str, Type[Partitioner]] = {
@@ -22,7 +21,6 @@ _REGISTRY: Dict[str, Type[Partitioner]] = {
         EdgeBalancedRangePartitioner,
         BFSGrowPartitioner,
         MetisPartitioner,
-        SpectralPartitioner,
         LDGStreamingPartitioner,
     )
 }

@@ -103,6 +103,31 @@ class TestInstruments:
         assert d["max"] == 3.0
         assert d["mean"] == pytest.approx(2.0)
 
+    def test_histogram_quantiles_within_one_bucket(self):
+        h = self._registry().histogram("h")
+        assert math.isnan(h.as_dict()["p99"])
+        values = [0.001 * 1.07**i for i in range(200)]
+        for v in values:
+            h.observe(v)
+        ordered = sorted(values)
+        for q in (0.01, 0.25, 0.5, 0.9, 0.99, 1.0):
+            exact = ordered[math.ceil(q * len(ordered)) - 1]
+            assert h.quantile(q) == pytest.approx(exact, rel=0.19)
+        d = h.as_dict()
+        assert d["p50"] == h.quantile(0.5) and d["p99"] == h.quantile(0.99)
+        assert d["min"] <= d["p50"] <= d["p99"] <= d["max"]
+
+    def test_histogram_zero_bucket_and_clamping(self):
+        h = self._registry().histogram("h")
+        for v in (0.0, 0.0, 0.0, 5.0):
+            h.observe(v)
+        assert h.quantile(0.5) == 0.0
+        # One observation: the bucket midpoint is clamped to [min, max].
+        assert h.quantile(0.99) == 5.0
+        h.reset()
+        h.observe(3.0)
+        assert h.as_dict()["p50"] == h.as_dict()["p99"] == 3.0
+
     def test_kind_mismatch_raises(self):
         reg = self._registry()
         with pytest.raises(MetricError, match="is a gauge, not a counter"):

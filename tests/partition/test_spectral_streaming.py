@@ -1,20 +1,17 @@
-"""Tests for the spectral and LDG streaming partitioners."""
+"""Tests for the LDG streaming partitioner and its registry entry."""
 
 import numpy as np
 import pytest
 
 from repro.errors import PartitionError
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import grid_graph, ring_graph
 from repro.partition import (
     HashPartitioner,
     LDGStreamingPartitioner,
-    SpectralPartitioner,
     edge_cut,
     get_partitioner,
     list_partitioners,
 )
-from repro.partition.base import balance_ratio
 
 
 def two_cliques(size=8):
@@ -25,59 +22,6 @@ def two_cliques(size=8):
     edges.append((0, size))
     src, dst = zip(*edges)
     return CSRGraph.from_edges(np.array(src), np.array(dst), 2 * size)
-
-
-class TestSpectral:
-    def test_contract(self, tiny_rmat):
-        a = SpectralPartitioner().partition(tiny_rmat, 4, seed=1)
-        assert a.num_parts == 4
-        assert a.sizes().sum() == tiny_rmat.num_vertices
-
-    def test_two_cliques_perfect_cut(self):
-        g = two_cliques()
-        a = SpectralPartitioner().partition(g, 2, seed=1)
-        assert edge_cut(g, a) <= 2
-
-    def test_ring_cut(self):
-        g = ring_graph(32)
-        a = SpectralPartitioner().partition(g, 2, seed=1)
-        # an even ring bisects with exactly 2 undirected cut edges
-        assert edge_cut(g, a) // 2 <= 4
-        assert balance_ratio(a) <= 1.2
-
-    def test_grid_beats_hash(self):
-        g = grid_graph(12, 12)
-        spectral_cut = edge_cut(g, SpectralPartitioner().partition(g, 4, seed=2))
-        hash_cut = edge_cut(g, HashPartitioner().partition(g, 4))
-        assert spectral_cut < 0.3 * hash_cut
-
-    def test_community_graph(self, lj_tiny):
-        spectral_cut = edge_cut(
-            lj_tiny, SpectralPartitioner().partition(lj_tiny, 4, seed=1)
-        )
-        hash_cut = edge_cut(lj_tiny, HashPartitioner().partition(lj_tiny, 4))
-        assert spectral_cut < 0.7 * hash_cut
-
-    def test_non_power_of_two(self, tiny_er):
-        a = SpectralPartitioner().partition(tiny_er, 3, seed=1)
-        assert np.unique(a.parts).size == 3
-
-    def test_disconnected_graph(self):
-        r = ring_graph(10)
-        src, dst = r.edge_array()
-        g = CSRGraph.from_edges(
-            np.concatenate([src, src + 10]), np.concatenate([dst, dst + 10]), 20
-        )
-        a = SpectralPartitioner().partition(g, 2, seed=3)
-        assert a.sizes().min() >= 4
-
-    def test_single_part(self, tiny_er):
-        a = SpectralPartitioner().partition(tiny_er, 1)
-        assert np.all(a.parts == 0)
-
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            SpectralPartitioner(dense_threshold=1)
 
 
 class TestLDG:
@@ -129,7 +73,7 @@ class TestLDG:
 class TestRegistryUpdated:
     def test_new_names_registered(self):
         names = list_partitioners()
-        assert "spectral" in names and "ldg" in names
+        assert "ldg" in names
 
     def test_factory_kwargs(self):
         p = get_partitioner("ldg", slack=0.25)

@@ -324,18 +324,21 @@ def test_healthz_stats_and_errors(run_payload):
 
 
 def test_stats_expose_request_latency_histogram(run_payload):
-    def request_count(port):
+    def request_latency(port):
         status, _h, body = http_get(port, "/v1/stats")
         assert status == 200
         metrics = json.loads(body)["metrics"]
-        return metrics.get("serve.request-seconds", {}).get("count", 0)
+        return metrics.get("serve.request-seconds", {"count": 0})
 
     with ServerThread(ServeConfig(port=0)) as server:
         # The registry is process-wide, so count from a baseline.
-        before = request_count(server.port)
+        before = request_latency(server.port)["count"]
         for _ in range(2):
             assert http_post(server.port, "/v1/run", run_payload)[0] == 200
-        assert request_count(server.port) == before + 2
+        latency = request_latency(server.port)
+    assert latency["count"] == before + 2
+    assert latency["min"] <= latency["p50"] <= latency["p99"] <= latency["max"]
+    assert latency["p99"] > 0
 
 
 def test_oversized_body_rejected(run_payload):

@@ -1,8 +1,8 @@
-"""Start-up stays free of scipy, and the sweep module free of asyncio.
+"""The runtime needs no scipy, and the sweep module loads no asyncio.
 
 Every CLI run, sweep worker, serve daemon and test subprocess pays for
-what ``import repro`` pulls in; scipy is needed only by the spectral
-partitioner and the test-side reference kernels, which import it when
+what ``import repro`` pulls in.  scipy is a test-only dependency: only
+the reference oracles in ``repro.kernels.reference`` import it, when
 they run.  The sweep coordinator is needed only by parallel sweeps.
 """
 
@@ -48,6 +48,29 @@ def test_entry_points_do_not_import_scipy():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     assert _run(code) == "[]"
+
+
+def test_runs_complete_with_scipy_blocked(tmp_path):
+    # A meta-path finder makes every scipy import fail, as on an install
+    # without the test extra.  The host-only triangle kernel and every
+    # paper artifact must still run.
+    code = (
+        "import sys\n"
+        "class BlockScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError('scipy blocked')\n"
+        "sys.meta_path.insert(0, BlockScipy())\n"
+        "from repro.cli import main as run_main\n"
+        "from repro.experiments.runner import main as experiments_main\n"
+        "rc_run = run_main(['--dataset', 'livejournal-sim', '--tier', 'tiny',"
+        " '--kernel', 'triangles', '--result-sha'])\n"
+        "rc_all = experiments_main(['run', 'all', '--tier', 'tiny',"
+        f" '--no-cache', '--json', {str(tmp_path)!r}])\n"
+        "print('exit codes', rc_run, rc_all)\n"
+    )
+    assert _run(code).splitlines()[-1] == "exit codes 0 0"
+    assert len(list(tmp_path.glob("*.json"))) == 19
 
 
 def test_sweep_module_loads_no_coordinator_machinery():
